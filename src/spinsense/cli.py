@@ -6,11 +6,16 @@ Subcommands
     optimize-state  spin-1 initial-state optimization across memory times
     validate        self-validation suites (exit 1 if any check fails)
 
+Exit codes: 0 success, 1 a validation suite failed, 2 usage error (bad
+flags or input), 3 numerical failure (a result over- or underflowed).
+
 All numeric output uses 17 significant digits and '.' decimals; re-running
 a command with identical flags reproduces byte-identical CSV.  Every
 command writes a ``<out>.manifest.json`` recording parameters, seeds, the
-RNG algorithm and the produced files.  The default output directory is
-``$SPINSENSE_OUTDIR`` (falling back to the working directory).
+RNG algorithm, the produced files and solver diagnostics (for a sweep, the
+rows written, de-duplicated, failed and on the scan boundary).  The default
+output directory is ``$SPINSENSE_OUTDIR`` (falling back to the working
+directory).
 
 Units: the gyromagnetic ratio is fixed to 1, so the estimated parameter is
 the angular precession frequency, identical to the field magnitude.
@@ -19,12 +24,13 @@ the angular precession frequency, identical to the field magnitude.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,6 +46,7 @@ OUTDIR_ENV = "SPINSENSE_OUTDIR"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_NUMERICAL = 3
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,7 @@ class RunManifest:
     version: str
     duration_s: float
     outputs: list[str]
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _fmt(x: float) -> str:
@@ -75,7 +83,7 @@ def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
 
 def _write_manifest(
     out_path: str, command: str, parameters: dict, seed: int | None,
-    started: float, outputs: list[str],
+    started: float, outputs: list[str], diagnostics: dict | None = None,
 ) -> str:
     manifest = RunManifest(
         command=command,
@@ -85,6 +93,7 @@ def _write_manifest(
         version=__version__,
         duration_s=time.time() - started,
         outputs=[os.path.basename(p) for p in outputs],
+        diagnostics=diagnostics or {},
     )
     base, _ = os.path.splitext(out_path)
     path = base + ".manifest.json"
@@ -96,16 +105,21 @@ def _write_manifest(
 
 def _half_integer(text: str) -> float:
     value = float(text)
-    if value <= 0 or abs(2 * value - round(2 * value)) > 1e-9:
+    if not 0 < value < math.inf or abs(2 * value - round(2 * value)) > 1e-9:
         raise argparse.ArgumentTypeError(f"spin must be a positive half-integer, got {text!r}")
     return value
 
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
+
+
+def _require_ordered(low: float, high: float, low_flag: str, high_flag: str) -> None:
+    if low > high:
+        raise ValueError(f"{low_flag} ({low!r}) must not exceed {high_flag} ({high!r})")
 
 
 def _positive_int(text: str) -> int:
@@ -117,6 +131,7 @@ def _positive_int(text: str) -> int:
 
 def cmd_qfi_curve(args: argparse.Namespace) -> int:
     started = time.time()
+    _require_ordered(args.tau_min, args.tau_max, "--tau-min", "--tau-max")
     spins = [SpinQuantumNumber.from_s(v) for v in args.s]
     noise = OUNoise(args.b, args.tau_c)
     if args.points == 1:
@@ -158,11 +173,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = np.logspace(math.log10(args.min), math.log10(args.max), args.points)
     table = sweep(param, grid, **fixed)
     header = ["param", "rate", "tau_opt", "markov_param", "regime", "status"]
+    status = table.status
     rows = [
         [
             float(table.values[i]), float(table.rates[i]), float(table.tau_opts[i]),
-            float(table.markov_params[i]), table.regimes[i].value,
-            "boundary" if table.on_boundary[i] else "ok",
+            float(table.markov_params[i]), table.regimes[i].value, status[i],
         ]
         for i in range(len(table))
     ]
@@ -185,12 +200,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     params = dict(fixed, param=param, min=args.min, max=args.max, points=args.points)
-    _write_manifest(out, "sweep", params, None, started, [out, summary_path])
+    diagnostics = {
+        "points": args.points,
+        "rows": len(table),
+        "deduplicated": args.points - len(table),
+        "failed": status.count("failed"),
+        "boundary": status.count("boundary"),
+    }
+    _write_manifest(out, "sweep", params, None, started, [out, summary_path], diagnostics)
     return EXIT_OK
 
 
 def cmd_optimize_state(args: argparse.Namespace) -> int:
     started = time.time()
+    _require_ordered(args.tau_c_min, args.tau_c_max, "--tau-c-min", "--tau-c-max")
     if args.points == 1:
         tau_cs = np.array([args.tau_c_min])
     else:
@@ -284,8 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves no state in the parser, so one instance serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -295,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def entry() -> None:

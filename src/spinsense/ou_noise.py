@@ -21,13 +21,15 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.signal import lfilter
 
 from . import config
 from .spin_ops import SpinQuantumNumber
 
 _CHI_SERIES_BELOW = 1e-4  # below this x, evaluate x + e^-x - 1 by series
+_T2_RTOL = 1e-12  # relative bracket width at which the T2 solve stops
+_T2_STEP = 0.4 * _T2_RTOL  # smallest step of the T2 solve, in log t
+_LN2 = math.log(2.0)  # bracket moves halve or double t
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,10 @@ class OUNoise:
     tau_c: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b!r}")
-        if not self.tau_c > 0:
-            raise ValueError(f"tau_c must be positive, got {self.tau_c!r}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"b must be positive and finite, got {self.b!r}")
+        if not 0 < self.tau_c < math.inf:
+            raise ValueError(f"tau_c must be positive and finite, got {self.tau_c!r}")
 
 
 class RegimeKind(enum.Enum):
@@ -79,10 +81,17 @@ class DDProfile:
 
 
 def _chi_core(x: np.ndarray) -> np.ndarray:
-    # x + e^-x - 1, with a series for small x to avoid cancellation
+    # x + e^-x - 1 as x + expm1(-x), with a series for small x where even
+    # that sum cancels
     small = x < _CHI_SERIES_BELOW
     safe = np.where(small, 1.0, x)
-    return np.where(small, x * x / 2 - x**3 / 6 + x**4 / 24, x + np.exp(-safe) - 1.0)
+    return np.where(small, x * x * (0.5 - x * (1.0 / 6.0 - x / 24.0)), x + np.expm1(-safe))
+
+
+def _chi(b, tau_c, t: np.ndarray) -> np.ndarray:
+    """chi for noise parameters given as arrays that broadcast against t."""
+    b, tau_c = np.asarray(b, dtype=float), np.asarray(tau_c, dtype=float)
+    return b**2 * tau_c**2 * _chi_core(t / tau_c)
 
 
 def chi(noise: OUNoise, tau) -> float | np.ndarray:
@@ -94,7 +103,7 @@ def chi(noise: OUNoise, tau) -> float | np.ndarray:
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0):
         raise ValueError("tau must be nonnegative")
-    out = noise.b**2 * noise.tau_c**2 * _chi_core(t / noise.tau_c)
+    out = _chi(noise.b, noise.tau_c, t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -110,40 +119,109 @@ def chi_limit(noise: OUNoise, tau, regime: Literal["short", "long"]) -> float | 
     return float(out) if out.ndim == 0 else out
 
 
-def _solve_unit_damping(chi_fn: Callable[[float], float], two_s: int, lo: float, hi: float) -> float:
-    """Root of (2S)^2 chi_fn(t) = 1 by bracketed Brent iteration."""
+def _unit_damping_times(chi_fn: Callable[[np.ndarray], np.ndarray], two_s, estimate) -> np.ndarray:
+    """Roots of (2S)^2 chi_fn(t) = 1, one per row, by a bracketed solve.
 
-    def f(t: float) -> float:
-        return two_s**2 * chi_fn(t) - 1.0
+    ``two_s`` and ``estimate`` are arrays of rows; ``chi_fn`` maps an array
+    of one time per row to that row's chi.  The solve runs on
+    h = log((2S)^2 chi) against log t, close to a straight line of slope 1
+    to n.  Each bracket starts at [estimate/2, 5 estimate/2] and is moved by
+    halving or doubling until it holds the root, then shrinks by Illinois
+    (regula falsi) steps.  A row stops once its bracket is at most
+    ``_T2_RTOL`` wide relative to t, so its root does not depend on the other
+    rows.  Rows whose damping is not finite wherever the bracket goes (an
+    overflowing chi, an underflowing noise) get NaN.
+    """
+    k2 = np.asarray(two_s, dtype=float) ** 2
 
-    while f(lo) > 0:
-        lo /= 2.0
-    while f(hi) < 0:
-        hi *= 2.0
-    return float(brentq(f, lo, hi, rtol=1e-12))
+    def h(u):  # log of the damping exponent (2S)^2 chi at t = e^u; zero at the root
+        return np.log(k2 * chi_fn(np.exp(u)))
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        est = np.asarray(estimate, dtype=float)
+        a, z = np.log(0.5 * est), np.log(2.5 * est)
+        h_a, h_z = h(a), h(z)
+        move = (h_a > 0) & np.isfinite(h_a)
+        while np.any(move):  # root below a: the old a bounds it from above
+            z, h_z = np.where(move, a, z), np.where(move, h_a, h_z)
+            a = np.where(move, a - _LN2, a)
+            h_a = np.where(move, h(a), h_a)
+            move &= (h_a > 0) & np.isfinite(h_a)
+        move = (h_z < 0) & np.isfinite(z)
+        while np.any(move):  # root above z: the old z bounds it from below
+            a, h_a = np.where(move, z, a), np.where(move, h_z, h_a)
+            z = np.where(move, z + _LN2, z)
+            h_z = np.where(move, h(z), h_z)
+            move &= h_z < 0
+        # h_a may be -inf (chi underflows at the lower end); h_z must be finite
+        ok = (h_a <= 0) & (h_z >= 0) & np.isfinite(h_z)
+
+        moved = np.zeros(a.shape)  # -1 if a moved last, +1 if z did
+        active = ok & (z - a > _T2_RTOL)
+        while np.any(active):
+            u = (a * h_z - z * h_a) / (h_z - h_a)
+            # a step at least a fraction of the tolerance inside the bracket,
+            # so an end that already sits on the root ends the solve
+            u = np.clip(np.where(np.isfinite(u), u, 0.5 * (a + z)), a + _T2_STEP, z - _T2_STEP)
+            h_u = h(u)
+            up = h_u >= 0
+            # Illinois: when the same end moves twice running, halve the
+            # value kept at the other end so the next step crosses the root
+            h_a_next = np.where(up, np.where(moved > 0, 0.5 * h_a, h_a), h_u)
+            h_z_next = np.where(up, h_u, np.where(moved < 0, 0.5 * h_z, h_z))
+            a = np.where(active & (h_u <= 0), u, a)
+            z = np.where(active & up, u, z)
+            h_a, h_z = np.where(active, h_a_next, h_a), np.where(active, h_z_next, h_z)
+            moved = np.where(active, np.where(up, 1.0, -1.0), moved)
+            active &= z - a > _T2_RTOL
+    return np.where(ok, np.exp(0.5 * (a + z)), np.nan)
+
+
+def _free_t2_rows(two_s, b, tau_c) -> np.ndarray:
+    """Free-evolution T2 for rows of (2S, b, tau_c); NaN where chi over- or underflows."""
+    b, tau_c = np.asarray(b, dtype=float), np.asarray(tau_c, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        k = np.asarray(two_s, dtype=float) * b
+        estimate = np.maximum(math.sqrt(2.0) / k, 1.0 / (k**2 * tau_c))
+    return _unit_damping_times(lambda t: _chi(b, tau_c, t), two_s, estimate)
+
+
+def _dd_t2_rows(two_s, noise: OUNoise, profile: DDProfile) -> np.ndarray:
+    """Pulsed-control T2 for rows of 2S; NaN where chi over- or underflows.
+
+    ``dd_chi`` squares b as a Python float, so a b^2 beyond the float range
+    raises OverflowError instead.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        k = np.asarray(two_s, dtype=float) * noise.b
+        t_short = noise.tau_c * (profile.shape_c / (k * noise.tau_c) ** 2) ** (1.0 / profile.n)
+        estimate = np.maximum(t_short, 1.0 / (k**2 * noise.tau_c))
+    return _unit_damping_times(lambda t: dd_chi(noise, profile, t), two_s, estimate)
+
+
+def _one_root(roots: np.ndarray, what: str) -> float:
+    root = float(roots[0])
+    if not math.isfinite(root):
+        raise FloatingPointError(f"{what} is not finite (chi over- or underflows)")
+    return root
 
 
 def t2(s: SpinQuantumNumber, noise: OUNoise) -> float:
     """Decoherence time: the extremal coherence decays to 1/e, (2S)^2 chi(T2) = 1.
 
     The bracket is seeded from the two asymptotic roots 1/(sqrt(2) S b) and
-    1/((2Sb)^2 tau_c), which bound the exact root within a factor of 2.
+    1/((2Sb)^2 tau_c), which bound the exact root within a factor of 2.  This
+    is the one-row case of the batched solve; it raises FloatingPointError
+    where chi over- or underflows before the root is bracketed.
     """
-    t_qs = math.sqrt(2.0) / (s.two_s * noise.b)
-    t_m = 1.0 / ((s.two_s * noise.b) ** 2 * noise.tau_c)
-    hi_est = max(t_qs, t_m)
-    return _solve_unit_damping(lambda t: chi(noise, t), s.two_s, 0.5 * hi_est, 2.5 * hi_est)
+    roots = _free_t2_rows(np.array([s.two_s]), noise.b, noise.tau_c)
+    return _one_root(roots, f"T2 at 2S={s.two_s}, b={noise.b!r}, tau_c={noise.tau_c!r}")
 
 
 def dd_t2(s: SpinQuantumNumber, noise: OUNoise, profile: DDProfile) -> float:
     """Decoherence time under pulsed control, (2S)^2 chi_dd(T2) = 1."""
-    k = (s.two_s * noise.b * noise.tau_c) ** 2
-    t_short = noise.tau_c * (profile.shape_c / k) ** (1.0 / profile.n)
-    t_long = 1.0 / ((s.two_s * noise.b) ** 2 * noise.tau_c)
-    hi_est = max(t_short, t_long)
-    return _solve_unit_damping(
-        lambda t: dd_chi(noise, profile, t), s.two_s, 0.5 * hi_est, 2.5 * hi_est
-    )
+    roots = _dd_t2_rows(np.array([s.two_s]), noise, profile)
+    return _one_root(roots, f"pulsed-control T2 at 2S={s.two_s}, n={profile.n!r}")
 
 
 def classify(s: SpinQuantumNumber, noise: OUNoise) -> NoiseRegime:
@@ -154,13 +232,16 @@ def classify(s: SpinQuantumNumber, noise: OUNoise) -> NoiseRegime:
     is reported so callers can re-bin with their own thresholds.
     """
     param = s.two_s * noise.b * noise.tau_c
+    return NoiseRegime(_regime_kind(param), param)
+
+
+def _regime_kind(param: float) -> RegimeKind:
+    """Regime of a memory parameter 2*S*b*tau_c under the config thresholds."""
     if param < config.MARKOVIAN_BELOW:
-        kind = RegimeKind.MARKOVIAN
-    elif param > config.QUASI_STATIC_ABOVE:
-        kind = RegimeKind.QUASI_STATIC
-    else:
-        kind = RegimeKind.INTERMEDIATE
-    return NoiseRegime(kind, param)
+        return RegimeKind.MARKOVIAN
+    if param > config.QUASI_STATIC_ABOVE:
+        return RegimeKind.QUASI_STATIC
+    return RegimeKind.INTERMEDIATE
 
 
 def _ou_block(noise: OUNoise, dt: float, steps: int, seed: int, block_index: int) -> np.ndarray:

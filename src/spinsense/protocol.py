@@ -7,6 +7,10 @@ module maximizes R over tau, sweeps it against the spin size and the noise
 parameters with power-law exponent fits, optimizes the spin-1 initial
 state, and evaluates the same pipeline under pulsed-control coherence
 profiles.
+
+Every maximization runs through one batched solver: a log-grid scan of all
+rows at once, then nested uniform grids on every row's bracket together.
+A single ``yield_rate`` call is its one-row case.
 """
 
 from __future__ import annotations
@@ -25,16 +29,22 @@ from .ou_noise import (
     NoiseRegime,
     OUNoise,
     RegimeKind,
+    _chi,
+    _dd_t2_rows,
+    _free_t2_rows,
+    _regime_kind,
     chi,
     classify,
     dd_chi,
-    dd_t2,
     t2,
 )
-from .qfi import ghz_qfi_values, spin1_qfi_values
+from .qfi import _ghz_values, ghz_qfi_values, spin1_qfi_values
 from .spin_ops import SpinQuantumNumber
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Interior points per refinement pass: each pass keeps two of the 64 cells,
+# shrinking every bracket 32-fold, so five passes take the ~0.1 relative
+# width of a scan bracket below 1e-8.
+_REFINE_POINTS = 63
 
 
 class YieldMethod(enum.Enum):
@@ -83,6 +93,16 @@ class SweepTable:
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def status(self) -> tuple[str, ...]:
+        """Per row: "failed" where no finite positive rate was found (its rate
+        and tau_opt are NaN), "boundary" where the scan's best point sits on a
+        grid edge, else "ok"."""
+        return tuple(
+            "failed" if not np.isfinite(rate) else "boundary" if edge else "ok"
+            for rate, edge in zip(self.rates, self.on_boundary)
+        )
+
 
 @dataclass(frozen=True)
 class StateOptResult:
@@ -93,17 +113,63 @@ class StateOptResult:
     fidelity_with_ghz: float
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, rel_tol: float) -> tuple[float, float]:
-    """Golden-section maximizer on [a, b] for a unimodal objective."""
-    while (b - a) > rel_tol * 0.5 * (a + b):
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        if f(c) >= f(d):
-            b = d
-        else:
-            a = c
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _scan_taus(t2_vals, search: config.YieldSearchConfig) -> np.ndarray:
+    """Log scan grids over [T2 tau_lo_factor, T2 tau_hi_factor], one row per T2."""
+    t2_vals = np.asarray(t2_vals, dtype=float)
+    return np.logspace(
+        np.log10(t2_vals * search.tau_lo_factor),
+        np.log10(t2_vals * search.tau_hi_factor),
+        search.grid_points,
+        axis=-1,
+    )
+
+
+def _refine_max(objective: Callable[[np.ndarray], np.ndarray], lo, hi, rel_tol: float):
+    """Maximize a unimodal objective on every bracket [lo_i, hi_i] at once.
+
+    ``objective`` maps a (rows, k) array of points to their values.  Each
+    pass evaluates ``_REFINE_POINTS`` evenly spaced interior points of every
+    bracket and keeps the two cells around the best one; a row stops once
+    its bracket is at most ``rel_tol`` times its midpoint wide, so its result
+    does not depend on the other rows.  NaN values never win.  Returns the
+    best point of each row's last pass and its value.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    rows = np.arange(len(lo))
+    cells = np.arange(_REFINE_POINTS + 2) / (_REFINE_POINTS + 1)
+    x, fx = np.full(len(lo), np.nan), np.full(len(lo), np.nan)
+    active = np.ones(len(lo), dtype=bool)
+    while np.any(active):
+        grid = lo[:, None] + (hi - lo)[:, None] * cells
+        vals = np.asarray(objective(grid[:, 1:-1]), dtype=float)
+        j = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=1)
+        x = np.where(active, grid[rows, j + 1], x)
+        fx = np.where(active, vals[rows, j], fx)
+        lo = np.where(active, grid[rows, j], lo)
+        hi = np.where(active, grid[rows, j + 2], hi)
+        active &= hi - lo > rel_tol * 0.5 * (lo + hi)
+    return x, fx
+
+
+def _maximize_rate(curve, taus: np.ndarray, rel_tol: float):
+    """Per row of the scan grids ``taus``, the maximum of curve(tau)/tau.
+
+    The curve maps a (rows, k) array of times to QFI values.  Each row's
+    scan argmax and its two neighbours bracket the refinement.  Rows that
+    over- or underflow come out non-finite, without a warning.  Returns
+    tau_opt, the rate there, and whether the scan argmax sat on a grid edge.
+    """
+    def objective(t):
+        return np.asarray(curve(t), dtype=float) / t
+
+    rows, n = np.arange(len(taus)), taus.shape[1]
+    with np.errstate(all="ignore"):
+        scan = objective(taus)
+        i = np.argmax(np.where(np.isnan(scan), -np.inf, scan), axis=1)
+        lo = taus[rows, np.maximum(i - 1, 0)]
+        hi = taus[rows, np.minimum(i + 1, n - 1)]
+        tau_opt, rate = _refine_max(objective, lo, hi, rel_tol)
+    return tau_opt, rate, (i == 0) | (i == n - 1)
 
 
 def yield_rate(
@@ -114,28 +180,26 @@ def yield_rate(
     t2_time: float | None = None,
     search: config.YieldSearchConfig = config.YieldSearchConfig(),
 ) -> YieldResult:
-    """Maximize F(tau)/tau over tau by log-grid scan plus golden refinement.
+    """Maximize F(tau)/tau over tau by log-grid scan plus nested-grid refinement.
 
     The scan covers [T2 * tau_lo_factor, T2 * tau_hi_factor]; the curve is
     the GHZ closed form unless a custom one is supplied (it must accept
-    scalar and array tau).  A maximum sitting on a scan edge is flagged
-    rather than treated as an error.
+    arrays of tau).  A maximum sitting on a scan edge is flagged rather than
+    treated as an error; a rate that is not finite raises FloatingPointError.
+    This is the one-row case of the solver that ``sweep`` runs on all rows.
     """
     if qfi_curve is None:
         qfi_curve = lambda t: ghz_qfi_values(s, noise, t)
     t2_val = t2(s, noise) if t2_time is None else t2_time
-    taus = np.logspace(
-        math.log10(t2_val * search.tau_lo_factor),
-        math.log10(t2_val * search.tau_hi_factor),
-        search.grid_points,
+    tau_opt, rate, on_boundary = _maximize_rate(
+        qfi_curve, _scan_taus([t2_val], search), search.rel_tol
     )
-    rates = np.asarray(qfi_curve(taus)) / taus
-    i = int(np.argmax(rates))
-    on_boundary = i == 0 or i == len(taus) - 1
-    lo = taus[max(i - 1, 0)]
-    hi = taus[min(i + 1, len(taus) - 1)]
-    tau_opt, rate = _golden_max(lambda t: float(qfi_curve(t)) / t, lo, hi, search.rel_tol)
-    return YieldResult(rate, tau_opt, classify(s, noise), YieldMethod.NUMERIC, on_boundary)
+    if not (np.isfinite(rate[0]) and np.isfinite(tau_opt[0])):
+        raise FloatingPointError(f"yield rate at 2S={s.two_s}, {noise!r} is not finite")
+    return YieldResult(
+        float(rate[0]), float(tau_opt[0]), classify(s, noise), YieldMethod.NUMERIC,
+        bool(on_boundary[0]),
+    )
 
 
 def yield_rate_asymptotic(s: SpinQuantumNumber, noise: OUNoise, regime: RegimeKind) -> YieldResult:
@@ -178,19 +242,24 @@ def fit_loglog_exponent(table: SweepTable, window: tuple[int, int]) -> ExponentF
     return ExponentFit(slope, intercept, resid, (lo, hi), hi - lo)
 
 
-def _deep_windows(markov_params: np.ndarray) -> dict[str, tuple[int, int]]:
-    """Contiguous row ranges deep inside each limiting regime.
+def _deep_windows(markov_params: np.ndarray, usable: np.ndarray) -> dict[str, tuple[int, int]]:
+    """Row ranges deep inside each limiting regime, over usable rows only.
 
     The memory parameter is monotone in any single swept variable, so the
-    qualifying rows always form a prefix or a suffix of the table.
+    qualifying rows form a prefix or a suffix of the table; rows that failed
+    (at the far ends, where chi over- or underflows) are left out, and the
+    longest contiguous run of what remains is the window.
     """
     windows: dict[str, tuple[int, int]] = {}
-    mark = np.flatnonzero(markov_params <= config.DEEP_MARKOVIAN_BELOW)
-    if len(mark) >= 4:
-        windows["markovian"] = (int(mark[0]), int(mark[-1]) + 1)
-    qs = np.flatnonzero(markov_params >= config.DEEP_QUASI_STATIC_ABOVE)
-    if len(qs) >= 4:
-        windows["quasi_static"] = (int(qs[0]), int(qs[-1]) + 1)
+    deep = {
+        "markovian": markov_params <= config.DEEP_MARKOVIAN_BELOW,
+        "quasi_static": markov_params >= config.DEEP_QUASI_STATIC_ABOVE,
+    }
+    for label, rows in deep.items():
+        idx = np.flatnonzero(rows & usable)
+        run = max(np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1), key=len)
+        if len(run) >= 4:
+            windows[label] = (int(run[0]), int(run[-1]) + 1)
     return windows
 
 
@@ -198,24 +267,45 @@ def _validated_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) < 8:
         raise ValueError("grid must be one-dimensional with >= 8 points")
-    if np.any(g <= 0) or np.any(np.diff(g) <= 0):
-        raise ValueError("grid must be positive and strictly increasing")
+    if not np.all(np.isfinite(g)) or np.any(g <= 0) or np.any(np.diff(g) <= 0):
+        raise ValueError("grid must be finite, positive and strictly increasing")
     return g
 
 
-def _finish_table(param_name: str, values: np.ndarray, results: list[YieldResult]) -> SweepTable:
+def _spin_rows(grid: np.ndarray) -> np.ndarray:
+    """2S for each distinct half-integer nearest to a grid value, ascending."""
+    return np.array(sorted({max(1, round(2 * v)) for v in grid}), dtype=float)
+
+
+def _solve_table(
+    param_name: str,
+    values: np.ndarray,
+    markov_params: np.ndarray,
+    curve,
+    t2_vals: np.ndarray,
+    search: config.YieldSearchConfig,
+) -> SweepTable:
+    """Optimize every row of a sweep in one batched solve and fit its exponents.
+
+    A row without a finite positive rate (its T2 or its optimum over- or
+    underflowed) gets NaN rate and tau_opt and is left out of the fits.
+    """
+    tau_opt, rate, on_boundary = _maximize_rate(
+        curve, _scan_taus(t2_vals, search), search.rel_tol
+    )
+    ok = np.isfinite(rate) & np.isfinite(tau_opt) & (rate > 0)
     table = SweepTable(
         param_name=param_name,
         values=values,
-        rates=np.array([r.rate for r in results]),
-        tau_opts=np.array([r.tau_opt for r in results]),
-        markov_params=np.array([r.regime.markov_param for r in results]),
-        regimes=tuple(r.regime.kind for r in results),
-        on_boundary=tuple(r.on_boundary for r in results),
+        rates=np.where(ok, rate, np.nan),
+        tau_opts=np.where(ok, tau_opt, np.nan),
+        markov_params=markov_params,
+        regimes=tuple(_regime_kind(p) for p in markov_params),
+        on_boundary=tuple(bool(v) for v in on_boundary & ok),
     )
     fits = {
         label: fit_loglog_exponent(table, window)
-        for label, window in _deep_windows(table.markov_params).items()
+        for label, window in _deep_windows(markov_params, ok).items()
     }
     return replace(table, fits=fits)
 
@@ -233,39 +323,39 @@ def sweep(
 
     ``parameter`` is one of "s", "b", "tau_c"; the other two must be given
     as fixed values.  Spin grid values are rounded to the nearest
-    half-integer and deduplicated.  Exponent fits are attached for every
-    deep-regime window containing at least four rows.
+    half-integer and deduplicated.  All rows are solved together; row i
+    equals ``yield_rate`` at the same inputs.  Exponent fits are attached
+    for every deep-regime window containing at least four usable rows.
     """
     g = _validated_grid(grid)
     if parameter == "s":
         if b is None or tau_c is None:
             raise ValueError("s-sweep requires fixed b and tau_c")
-        two_s_grid = sorted({max(1, round(2 * v)) for v in g})
-        spins = [SpinQuantumNumber(int(v)) for v in two_s_grid]
-        rows = [(sq.s, yield_rate(sq, OUNoise(b, tau_c), search=search)) for sq in spins]
+        two_s = _spin_rows(g)
+        n = len(two_s)
+        values, b_rows, tc_rows = two_s / 2.0, np.full(n, b, float), np.full(n, tau_c, float)
     elif parameter == "b":
         if s is None or tau_c is None:
             raise ValueError("b-sweep requires fixed s and tau_c")
-        sq = SpinQuantumNumber.from_s(s)
-        rows = [(v, yield_rate(sq, OUNoise(v, tau_c), search=search)) for v in g]
+        two_s = np.full(len(g), float(SpinQuantumNumber.from_s(s).two_s))
+        values, b_rows, tc_rows = g, g, np.full(len(g), tau_c, float)
     elif parameter == "tau_c":
         if s is None or b is None:
             raise ValueError("tau_c-sweep requires fixed s and b")
-        sq = SpinQuantumNumber.from_s(s)
-        rows = [(v, yield_rate(sq, OUNoise(b, v), search=search)) for v in g]
+        two_s = np.full(len(g), float(SpinQuantumNumber.from_s(s).two_s))
+        values, b_rows, tc_rows = g, np.full(len(g), b, float), g
     else:
         raise ValueError(f"parameter must be 's', 'b' or 'tau_c', got {parameter!r}")
+    for name, col in (("b", b_rows), ("tau_c", tc_rows)):
+        if not np.all((col > 0) & (col < math.inf)):
+            raise ValueError(f"{name} must be positive and finite")
 
-    values = np.array([v for v, _ in rows])
-    results = [r for _, r in rows]
-    return _finish_table(parameter, values, results)
-
-
-def _spin1_rate(theta: float, phi: float, noise: OUNoise, t2_val: float,
-                search: config.YieldSearchConfig) -> float:
-    sq = SpinQuantumNumber(2)
-    curve = lambda t: spin1_qfi_values(theta, phi, chi(noise, t), t)
-    return yield_rate(sq, noise, curve, t2_time=t2_val, search=search).rate
+    k, bb, tc = two_s[:, None], b_rows[:, None], tc_rows[:, None]
+    return _solve_table(
+        parameter, values, two_s * b_rows * tc_rows,
+        lambda t: _ghz_values(k, _chi(bb, tc, t), t),
+        _free_t2_rows(two_s, b_rows, tc_rows), search,
+    )
 
 
 def optimize_initial_state_spin1(
@@ -284,12 +374,16 @@ def optimize_initial_state_spin1(
     """
     sq = SpinQuantumNumber(2)
     t2_val = t2(sq, noise)
-    tau_grid = np.logspace(
-        math.log10(t2_val * tau_search.tau_lo_factor),
-        math.log10(t2_val * tau_search.tau_hi_factor),
-        tau_search.grid_points,
-    )
+    tau_grid = _scan_taus([t2_val], tau_search)  # the scan of every yield_rate call below
     chi_grid = chi(noise, tau_grid)
+
+    def rate(theta: float, phi: float) -> float:
+        def curve(t):
+            # chi on the fixed scan grid is computed once; refinement grids get their own
+            on_scan = t.shape == tau_grid.shape and np.array_equal(t, tau_grid)
+            return spin1_qfi_values(theta, phi, chi_grid if on_scan else chi(noise, t), t)
+
+        return yield_rate(sq, noise, curve, t2_time=t2_val, search=tau_search).rate
 
     n = search.grid_size
     angles = (np.arange(n) + 0.5) * (math.pi / 2) / n  # interior of (0, pi/2)
@@ -300,17 +394,15 @@ def optimize_initial_state_spin1(
     coarse = np.empty(len(th))
     step = search.chunk_rows
     for k in range(0, len(th), step):
-        f = spin1_qfi_values(
-            th[k : k + step, None], ph[k : k + step, None], chi_grid[None, :], tau_grid[None, :]
-        )
-        coarse[k : k + step] = np.max(f / tau_grid[None, :], axis=1)
+        f = spin1_qfi_values(th[k : k + step, None], ph[k : k + step, None], chi_grid, tau_grid)
+        coarse[k : k + step] = np.max(f / tau_grid, axis=1)
 
-    r_ghz = _spin1_rate(math.pi / 4, math.pi / 2, noise, t2_val, tau_search)
+    r_ghz = rate(math.pi / 4, math.pi / 2)
     best_theta, best_phi, best_rate = math.pi / 4, math.pi / 2, r_ghz
     starts = np.argsort(coarse)[::-1][: search.refine_starts]
     for idx in starts:
         res = minimize(
-            lambda x: -_spin1_rate(x[0], x[1], noise, t2_val, tau_search),
+            lambda x: -rate(x[0], x[1]),
             [th[idx], ph[idx]],
             method="Nelder-Mead",
             bounds=[(1e-9, math.pi / 2), (1e-9, math.pi / 2)],
@@ -336,14 +428,10 @@ def dd_scaling(
     the Markovian branch the control is ineffective and the rate is flat.
     """
     g = _validated_grid(s_grid)
-    two_s_grid = sorted({max(1, round(2 * v)) for v in g})
-    values, results = [], []
-    for two_s in two_s_grid:
-        sq = SpinQuantumNumber(int(two_s))
-        t2_val = dd_t2(sq, noise, profile)
-        curve = lambda t, _sq=sq: (_sq.two_s * np.asarray(t)) ** 2 * np.exp(
-            -2.0 * _sq.two_s**2 * dd_chi(noise, profile, t)
-        )
-        values.append(sq.s)
-        results.append(yield_rate(sq, noise, curve, t2_time=t2_val, search=search))
-    return _finish_table("s", np.array(values), results)
+    two_s = _spin_rows(g)
+    k = two_s[:, None]
+    return _solve_table(
+        "s", two_s / 2.0, two_s * noise.b * noise.tau_c,
+        lambda t: _ghz_values(k, dd_chi(noise, profile, t), t),
+        _dd_t2_rows(two_s, noise, profile), search,
+    )

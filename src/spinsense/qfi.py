@@ -53,10 +53,15 @@ class QFIResult:
             raise ValueError(f"QFI must be nonnegative, got {self.value!r}")
 
 
+def _ghz_values(two_s, chi_values, t):
+    """(2S tau)^2 exp(-2 (2S)^2 chi) for any coherence law; broadcasts."""
+    return (two_s * t) ** 2 * np.exp(-2.0 * two_s**2 * chi_values)
+
+
 def ghz_qfi_values(s: SpinQuantumNumber, noise: OUNoise, tau) -> float | np.ndarray:
     """Vectorized noisy GHZ-protocol QFI, (2S tau)^2 exp(-2 (2S)^2 chi(tau))."""
     t = np.asarray(tau, dtype=float)
-    out = (s.two_s * t) ** 2 * np.exp(-2.0 * s.two_s**2 * chi(noise, t))
+    out = _ghz_values(s.two_s, chi(noise, t), t)
     return float(out) if out.ndim == 0 else out
 
 

@@ -12,6 +12,7 @@ the angular frequency omega (equal to the field magnitude).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class SpinQuantumNumber:
 
     @classmethod
     def from_s(cls, s: float) -> "SpinQuantumNumber":
+        if not math.isfinite(s):
+            raise ValueError(f"spin must be finite, got {s!r}")
         two_s = round(2 * s)
         if abs(2 * s - two_s) > 1e-9:
             raise ValueError(f"spin must be a half-integer, got {s!r}")

@@ -80,10 +80,19 @@ class TestQfiCurve:
             m.pop("outputs")
         assert m1 == m2
 
-    def test_invalid_flags_exit_2(self, capsys):
+    def test_invalid_flags_exit_2(self, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "never.csv")]
         assert run(["qfi-curve", "--s", "0.4", "--b", "1", "--tau-c", "1"]) == 2
         assert run(["qfi-curve", "--b", "1", "--tau-c", "1"]) == 2
         assert run(["qfi-curve", "--s", "1", "--b", "-3", "--tau-c", "1"]) == 2
+        assert run(["qfi-curve", "--s", "1", "--b", "inf", "--tau-c", "1"] + out) == 2
+        assert run(["qfi-curve", "--s", "inf", "--b", "1", "--tau-c", "1"] + out) == 2
+        assert run(["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "nan"] + out) == 2
+        assert run(["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1",
+                    "--tau-min", "5", "--tau-max", "1"] + out) == 2
+        assert run(["optimize-state", "--b", "1", "--tau-c-min", "2",
+                    "--tau-c-max", "1"] + out) == 2
+        assert not os.listdir(tmp_path)
         capsys.readouterr()
 
     def test_unknown_command_exit_2(self, capsys):
@@ -118,6 +127,49 @@ class TestSweepCommand:
         assert code == 2
         capsys.readouterr()
 
+    def test_manifest_diagnostics(self, tmp_path):
+        out = str(tmp_path / "s64.csv")
+        assert run(["sweep", "--param", "s", "--min", "0.5", "--max", "1e6", "--points", "64",
+                    "--b", "1", "--tau-c", "1e-3", "--out", out]) == 0
+        _, rows = read_csv(out)
+        manifest = json.load(open(tmp_path / "s64.manifest.json"))
+        assert manifest["outputs"] == ["s64.csv", "s64.summary.json"]
+        assert manifest["diagnostics"] == {
+            "points": 64, "rows": len(rows), "deduplicated": 64 - len(rows),
+            "failed": 0, "boundary": 0,
+        }
+        assert len(rows) == 61  # 0.5, 0.62.. and 0.78.. all round to 2S = 1
+
+    def test_numerical_failure_is_a_row_status(self, tmp_path, capsys):
+        # chi overflows at the top of this grid (b^2 > 1.8e308) and the
+        # optimum's QFI overflows at the bottom (tau_opt^2 > 1.8e308)
+        out = str(tmp_path / "wide_b.csv")
+        code = run(["sweep", "--param", "b", "--min", "1e-200", "--max", "1e200",
+                    "--points", "16", "--s", "0.5", "--tau-c", "1", "--out", out])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_csv(out)
+        assert header == ["param", "rate", "tau_opt", "markov_param", "regime", "status"]
+        assert len(rows) == 16
+        status = [r[5] for r in rows]
+        failed = [i for i, st in enumerate(status) if st == "failed"]
+        assert failed and 0 in failed and 15 in failed
+        assert all(st == "ok" for st in status if st != "failed")
+        for i in failed:
+            assert rows[i][1] == rows[i][2] == "nan"
+        for i, row in enumerate(rows):
+            if i not in failed:  # quasi-static R = sqrt(2/e) S / b, Markovian 1/(2e b^2)
+                b = float(row[0])
+                want = math.sqrt(2 / math.e) * 0.5 / b if b > 1 else 1 / (2 * math.e * b**2)
+                assert float(row[1]) == pytest.approx(want, rel=1e-3)
+        fit = json.load(open(tmp_path / "wide_b.summary.json"))["fits"]["quasi_static"]
+        lo, hi = fit["window"]
+        assert not set(range(lo, hi)) & set(failed)
+        assert fit["slope"] == pytest.approx(-1.0, abs=1e-6)
+        diagnostics = json.load(open(tmp_path / "wide_b.manifest.json"))["diagnostics"]
+        assert diagnostics["failed"] == len(failed)
+        assert diagnostics["rows"] == 16 and diagnostics["deduplicated"] == 0
+
     def test_tau_c_sweep_roundtrip(self, tmp_path):
         out = str(tmp_path / "tc.csv")
         run(["sweep", "--param", "tau-c", "--min", "1e-3", "--max", "1e-2",
@@ -144,6 +196,15 @@ class TestOptimizeStateCommand:
         row = [float(v) for v in rows[0]]
         assert row[5] > 0.99  # fidelity with the GHZ-like state
         assert row[2] / row[1] < 1.01
+
+    def test_numerical_failure_exit_3(self, tmp_path, capsys):
+        out = str(tmp_path / "huge_b.csv")
+        code = run(["optimize-state", "--b", "1e300", "--tau-c-min", "1",
+                    "--tau-c-max", "1", "--points", "1", "--out", out])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL == 3
+        assert len(err.strip().splitlines()) == 1 and "numerical failure" in err
+        assert not os.path.exists(out)
 
 
 class TestValidateCommand:
@@ -179,6 +240,29 @@ class TestValidateCommand:
 
     def test_unknown_suite_exit_2(self, capsys):
         assert run(["validate", "--suite", "bogus"]) == 2
+        capsys.readouterr()
+
+
+class TestInProcessCalls:
+    def test_parser_built_once_and_reused(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_parse_state_carries_over(self, tmp_path, capsys):
+        first, second = str(tmp_path / "first.csv"), str(tmp_path / "second.csv")
+        assert run(["qfi-curve", "--s", "1", "--s", "2", "--s", "4", "--b", "1", "--tau-c", "1",
+                    "--points", "3", "--out", first]) == 0
+        assert run(["qfi-curve", "--s", "8", "--b", "2", "--tau-c", "1",
+                    "--points", "3", "--out", second]) == 0
+        assert read_csv(first)[0] == ["tau", "qfi_1", "qfi_2", "qfi_4"]
+        assert read_csv(second)[0] == ["tau", "qfi_8"]
+        assert json.load(open(tmp_path / "second.manifest.json"))["parameters"]["s"] == [8.0]
+        # a sweep's --s from an earlier call must not fill in a later one
+        assert run(["sweep", "--param", "b", "--min", "0.1", "--max", "1", "--points", "8",
+                    "--s", "0.5", "--tau-c", "1", "--out", str(tmp_path / "sw.csv")]) == 0
+        assert run(["sweep", "--param", "b", "--min", "0.1", "--max", "1", "--points", "8",
+                    "--tau-c", "1", "--out", str(tmp_path / "sw2.csv")]) == 2
+        assert not os.path.exists(tmp_path / "sw2.csv")
         capsys.readouterr()
 
 

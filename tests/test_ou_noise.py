@@ -25,6 +25,15 @@ from spinsense import (
 mp.mp.dps = 40
 
 
+def t2_highprec(two_s, b, tau_c) -> float:
+    """Root of (2S)^2 chi(T2) = 1 at 40 digits, from the mpmath closed form."""
+    two_s, b, tau_c = map(mp.mpf, (two_s, b, tau_c))
+    k = two_s * b
+    estimate = max(mp.sqrt(2) / k, 1 / (k**2 * tau_c))
+    f = lambda t: k**2 * tau_c**2 * (t / tau_c + mp.expm1(-t / tau_c)) - 1
+    return float(mp.findroot(f, (estimate, 2 * estimate), solver="anderson"))
+
+
 def chi_highprec(b, tau_c, tau) -> float:
     """Independent arbitrary-precision route for the closed form."""
     b, tau_c, tau = map(mp.mpf, (b, tau_c, tau))
@@ -51,6 +60,11 @@ class TestChi:
         assert chi(OUNoise(b, tau_c), tau) == pytest.approx(
             chi_highprec(b, tau_c, tau), rel=1e-13
         )
+
+    @pytest.mark.parametrize("x", [1.01e-4, 3e-4, 1e-3, 1e-2])
+    def test_just_above_series_switch(self, x):
+        # x + expm1(-x) keeps full accuracy where x + exp(-x) - 1 cancels
+        assert chi(OUNoise(1.0, 1.0), x) == pytest.approx(chi_highprec(1.0, 1.0, x), rel=1e-12)
 
     def test_series_branch_matches_direct_branch(self):
         # continuity across the series switchover at tau/tau_c = 1e-4
@@ -120,6 +134,30 @@ class TestT2:
         noise = OUNoise(1.0, tau_c)
         root = t2(s, noise)
         assert abs(two_s**2 * chi(noise, root) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("s_val", [0.5, 3.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("tau_c", [1e-3, 1.0, 1e3])
+    def test_against_high_precision(self, s_val, tau_c):
+        # Markovian, intermediate and quasi-static memory for every S
+        two_s = int(2 * s_val)
+        assert t2(SpinQuantumNumber(two_s), OUNoise(1.0, tau_c)) == pytest.approx(
+            t2_highprec(two_s, 1.0, tau_c), rel=1e-11
+        )
+
+    def test_rows_solve_independently(self):
+        from spinsense.ou_noise import _free_t2_rows
+
+        two_s = np.array([1.0, 4.0, 2e6, 1.0])
+        b = np.array([1.0, 0.3, 1.0, 1e200])  # the last row's chi overflows
+        tau_c = np.array([1e-3, 5.0, 1e-3, 1.0])
+        roots = _free_t2_rows(two_s, b, tau_c)
+        for i in range(3):
+            assert roots[i] == t2(SpinQuantumNumber(int(two_s[i])), OUNoise(b[i], tau_c[i]))
+        assert np.isnan(roots[3])
+
+    def test_overflow_raises_floating_point_error(self):
+        with pytest.raises(FloatingPointError):
+            t2(SpinQuantumNumber(1), OUNoise(1e200, 1.0))
 
     def test_asymptotes_bracket_within_factor_two(self):
         for param in np.logspace(-4, 4, 40):
@@ -267,3 +305,10 @@ class TestOUNoiseValidation:
     def test_rejects_nonpositive_tau_c(self):
         with pytest.raises(ValueError):
             OUNoise(1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            OUNoise(bad, 1.0)
+        with pytest.raises(ValueError):
+            OUNoise(1.0, bad)

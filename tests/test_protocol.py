@@ -12,7 +12,9 @@ from spinsense import (
     SweepTable,
     YieldMethod,
     chi,
+    dd_chi,
     dd_scaling,
+    dd_t2,
     fit_loglog_exponent,
     ghz_qfi_values,
     optimize_initial_state_spin1,
@@ -23,18 +25,41 @@ from spinsense import (
     yield_rate,
     yield_rate_asymptotic,
 )
-from spinsense.protocol import _golden_max
+from spinsense.protocol import _refine_max
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
 
 
-class TestGoldenSection:
+class TestRefineMax:
     def test_parabola(self):
         # position accuracy near a smooth maximum is limited to ~sqrt(eps)
         # by comparisons of nearly equal function values
-        x, fx = _golden_max(lambda t: -(t - 2.0) ** 2 + 5.0, 0.5, 4.0, 1e-10)
-        assert x == pytest.approx(2.0, rel=1e-6)
-        assert fx == pytest.approx(5.0)
+        x, fx = _refine_max(lambda t: -(t - 2.0) ** 2 + 5.0, [0.5], [4.0], 1e-10)
+        assert x[0] == pytest.approx(2.0, rel=1e-6)
+        assert fx[0] == pytest.approx(5.0)
+
+    def test_several_brackets_in_one_call(self):
+        # row 0: parabola peaked at 2; row 1: increasing, so the maximum is
+        # the bracket's upper edge; row 2: flat
+        peak = np.array([2.0, 0.0, 0.0])[:, None]
+        slope = np.array([0.0, 1.0, 0.0])[:, None]
+        curv = np.array([1.0, 0.0, 0.0])[:, None]
+        objective = lambda t: 5.0 - curv * (t - peak) ** 2 + slope * t
+        lo, hi = [0.5, 1.0, 3.0], [4.0, 2.0, 7.0]
+        x, fx = _refine_max(objective, lo, hi, 1e-10)
+        assert x[0] == pytest.approx(2.0, rel=1e-6) and fx[0] == pytest.approx(5.0)
+        assert x[1] == pytest.approx(2.0, rel=1e-9) and fx[1] == pytest.approx(7.0, rel=1e-9)
+        assert 3.0 <= x[2] <= 7.0 and fx[2] == 5.0
+        # each row stops on its own bracket width, independent of the others
+        for i in range(3):
+            row = slice(i, i + 1)
+            xi, fi = _refine_max(lambda t: objective(t)[row], lo[row], hi[row], 1e-10)
+            assert (xi[0], fi[0]) == (x[i], fx[i])
+
+    def test_nan_never_wins(self):
+        objective = lambda t: np.where(t > 1.5, np.nan, -((t - 1.0) ** 2))
+        x, fx = _refine_max(objective, [0.0], [2.0], 1e-9)
+        assert x[0] == pytest.approx(1.0, abs=1e-6) and fx[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestYieldRate:
@@ -157,6 +182,80 @@ class TestSweep:
             sweep("s", np.logspace(0, 1, 8), b=1.0)
         with pytest.raises(ValueError):
             sweep("nope", np.logspace(0, 1, 8), b=1.0, tau_c=1.0)
+
+
+def _chi_closed_form(b, tau_c, tau):
+    # b^2 tau_c^2 (x + expm1(-x)), x = tau/tau_c, by its series where that cancels
+    x = tau / tau_c
+    series = x * x * (0.5 - x * (1 / 6 - x * (1 / 24 - x / 120)))
+    return b * b * tau_c * tau_c * np.where(x < 1e-3, series, x + np.expm1(-x))
+
+
+def _dense_grid_rate(two_s, b, tau_c, levels=4, n=1001):
+    """max over tau of (2S tau)^2 exp(-2 (2S)^2 chi)/tau on nested dense log
+    grids, rows at once, bracketed by the two asymptotic optima."""
+    two_s, b, tau_c = (np.asarray(v, dtype=float)[:, None] for v in (two_s, b, tau_c))
+    t_qs, t_m = 1 / (math.sqrt(2) * two_s * b), 1 / (2 * (two_s * b) ** 2 * tau_c)
+    a, z = np.log(np.minimum(t_qs, t_m) / 100), np.log(np.maximum(t_qs, t_m) * 100)
+    rows = np.arange(len(a))
+    for _ in range(levels):
+        u = a + (z - a) * np.linspace(0.0, 1.0, n)
+        log_rate = 2 * np.log(two_s) + u - 2 * two_s**2 * _chi_closed_form(b, tau_c, np.exp(u))
+        i = np.argmax(log_rate, axis=1)
+        assert np.all((i > 0) & (i < n - 1))
+        a, z = u[rows, i - 1][:, None], u[rows, i + 1][:, None]
+    return np.exp(log_rate[rows, i])
+
+
+class TestSweepAgainstDenseGrid:
+    """Every sweep rate against an optimum found without protocol's solver."""
+
+    CASES = {
+        "s": (np.logspace(np.log10(0.5), 6, 16), dict(b=1.0, tau_c=1e-3)),
+        "b": (np.logspace(-3, 3, 16), dict(s=0.5, tau_c=1.0)),
+        "tau_c": (np.logspace(-3, 3, 16), dict(s=0.5, b=1.0)),
+    }
+
+    @staticmethod
+    def _rows(param, table, fixed):
+        n = len(table)
+        col = lambda name: table.values if param == name else np.full(n, fixed[name])
+        two_s = 2 * table.values if param == "s" else np.full(n, 2 * fixed["s"])
+        return two_s, col("b"), col("tau_c")
+
+    @pytest.mark.parametrize("param", ["s", "b", "tau_c"])
+    def test_rates_match_dense_grid(self, param):
+        grid, fixed = self.CASES[param]
+        table = sweep(param, grid, **fixed)
+        assert table.status == ("ok",) * len(table)
+        two_s, b, tau_c = self._rows(param, table, fixed)
+        np.testing.assert_allclose(table.rates, _dense_grid_rate(two_s, b, tau_c), rtol=1e-9)
+
+    @pytest.mark.parametrize("param", ["s", "b", "tau_c"])
+    def test_rows_equal_yield_rate_exactly(self, param):
+        grid, fixed = self.CASES[param]
+        table = sweep(param, grid, **fixed)
+        for two_s, b, tau_c, rate, tau_opt in zip(*self._rows(param, table, fixed),
+                                                  table.rates, table.tau_opts):
+            single = yield_rate(SpinQuantumNumber(int(two_s)), OUNoise(b, tau_c))
+            assert (single.rate, single.tau_opt) == (rate, tau_opt)
+
+    def test_dd_rows_equal_yield_rate_exactly(self):
+        profile, noise = DDProfile(3), OUNoise(1.0, 100.0)
+        table = dd_scaling(profile, np.logspace(0, np.log10(64), 10), noise)
+        for s_val, rate in zip(table.values, table.rates):
+            sq = SpinQuantumNumber.from_s(s_val)
+            curve = lambda t: (sq.two_s * t) ** 2 * np.exp(
+                -2.0 * sq.two_s**2 * dd_chi(noise, profile, t))
+            single = yield_rate(sq, noise, curve, t2_time=dd_t2(sq, noise, profile))
+            assert single.rate == rate
+
+    def test_failed_rows_left_out_of_fits(self):
+        table = sweep("tau_c", np.logspace(-300, 300, 16), s=0.5, b=1.0)
+        failed = [i for i, st in enumerate(table.status) if st == "failed"]
+        assert failed and np.all(np.isnan(table.rates[failed]))
+        lo, hi = table.fits["quasi_static"].window
+        assert not set(range(lo, hi)) & set(failed)
 
 
 class TestFitLogLog:
