@@ -13,7 +13,9 @@ All numeric output uses 17 significant digits and '.' decimals; re-running
 a command with identical flags reproduces byte-identical CSV.  Every
 command writes a ``<out>.manifest.json`` recording parameters, seeds, the
 RNG algorithm, the produced files and solver diagnostics (for a sweep, the
-rows written, de-duplicated, failed and on the scan boundary).  The default
+rows written, de-duplicated, failed and on the scan boundary; for a state
+optimization, per point the yield-rate solves, each Nelder-Mead start's
+evaluations and convergence flag, and whether the GHZ point won).  The default
 output directory is ``$SPINSENSE_OUTDIR`` (falling back to the working
 directory).
 
@@ -219,16 +221,22 @@ def cmd_optimize_state(args: argparse.Namespace) -> int:
     else:
         tau_cs = np.logspace(math.log10(args.tau_c_min), math.log10(args.tau_c_max), args.points)
     header = ["tau_c", "r_ghz", "r_opt", "theta_opt", "phi_opt", "fidelity"]
-    rows = []
+    rows, solves = [], []
     for tc in tau_cs:
         res = optimize_initial_state_spin1(OUNoise(args.b, float(tc)))
         rows.append([float(tc), res.r_ghz, res.r_max, res.theta_opt, res.phi_opt,
                      res.fidelity_with_ghz])
+        solves.append({
+            "tau_c": float(tc),
+            "rate_evaluations": res.rate_evaluations,
+            "starts": [{"nfev": nfev, "success": ok} for nfev, ok in res.starts],
+            "ghz_won": res.ghz_won,
+        })
     out = _resolve_out(args.out, "optimize_state.csv")
     _write_csv(out, header, rows)
     params = {"b": args.b, "tau_c_min": args.tau_c_min, "tau_c_max": args.tau_c_max,
               "points": args.points}
-    _write_manifest(out, "optimize-state", params, None, started, [out])
+    _write_manifest(out, "optimize-state", params, None, started, [out], {"points": solves})
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ class YieldSearchConfig:
     tau_lo_factor: float = 0.01   # scan starts at tau = T2 * tau_lo_factor
     tau_hi_factor: float = 100.0
     grid_points: int = 200
-    rel_tol: float = 1e-8         # golden-section relative tolerance in tau
+    rel_tol: float = 1e-8         # relative bracket width in tau that ends refinement
 
 
 @dataclass(frozen=True)

@@ -280,11 +280,6 @@ def sample_ou_paths(noise: OUNoise, dt: float, steps: int, n_paths: int, seed: i
     return out
 
 
-def sample_ou_path(noise: OUNoise, dt: float, steps: int, seed: int) -> np.ndarray:
-    """Single stationary path of length steps + 1; row 0 of the block sampler."""
-    return sample_ou_paths(noise, dt, steps, 1, seed)[0]
-
-
 @dataclass(frozen=True)
 class McCoherence:
     """Monte Carlo estimate of the dephasing factor E[exp(-i 2S phase)]."""

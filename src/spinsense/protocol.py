@@ -38,7 +38,7 @@ from .ou_noise import (
     dd_chi,
     t2,
 )
-from .qfi import _ghz_values, ghz_qfi_values, spin1_qfi_values
+from .qfi import _ghz_values, _spin1_coefficients, _spin1_from_coefficients, ghz_qfi_values
 from .spin_ops import SpinQuantumNumber
 
 # Interior points per refinement pass: each pass keeps two of the 64 cells,
@@ -111,6 +111,11 @@ class StateOptResult:
     r_max: float
     r_ghz: float
     fidelity_with_ghz: float
+    # solver diagnostics: yield-rate solves made, (nfev, success) of each
+    # Nelder-Mead start, and whether no start beat the GHZ point
+    rate_evaluations: int = 0
+    starts: tuple[tuple[int, bool], ...] = ()
+    ghz_won: bool = False
 
 
 def _scan_taus(t2_vals, search: config.YieldSearchConfig) -> np.ndarray:
@@ -370,20 +375,29 @@ def optimize_initial_state_spin1(
     enter the QFI), refines the best grid points with a bounded simplex, and
     reports the overlap of the winner with the GHZ-like state after zeroing
     the phases of both.  The GHZ point itself is part of the candidate set,
-    so r_max can never fall below r_ghz.
+    so r_max can never fall below r_ghz.  Each rate is the yield rate of the
+    spin-1 curve, solved as ``yield_rate`` solves it; a rate that is not
+    finite raises FloatingPointError.
     """
     sq = SpinQuantumNumber(2)
-    t2_val = t2(sq, noise)
-    tau_grid = _scan_taus([t2_val], tau_search)  # the scan of every yield_rate call below
-    chi_grid = chi(noise, tau_grid)
+    tau_grid = _scan_taus([t2(sq, noise)], tau_search)  # the scan of every rate below
+    d_grid = np.exp(-2.0 * chi(noise, tau_grid))
+    evaluations = 0
 
     def rate(theta: float, phi: float) -> float:
-        def curve(t):
-            # chi on the fixed scan grid is computed once; refinement grids get their own
-            on_scan = t.shape == tau_grid.shape and np.array_equal(t, tau_grid)
-            return spin1_qfi_values(theta, phi, chi_grid if on_scan else chi(noise, t), t)
+        nonlocal evaluations
+        evaluations += 1
+        p, q = _spin1_coefficients(theta, phi)  # fixed for the whole tau search
 
-        return yield_rate(sq, noise, curve, t2_time=t2_val, search=tau_search).rate
+        def curve(t):
+            # the scan runs on tau_grid itself, whose D is computed once
+            d = d_grid if t is tau_grid else np.exp(-2.0 * _chi(noise.b, noise.tau_c, t))
+            return _spin1_from_coefficients(p, q, d, t)
+
+        tau_opt, r, _ = _maximize_rate(curve, tau_grid, tau_search.rel_tol)
+        if not (np.isfinite(r[0]) and np.isfinite(tau_opt[0])):
+            raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite")
+        return float(r[0])
 
     n = search.grid_size
     angles = (np.arange(n) + 0.5) * (math.pi / 2) / n  # interior of (0, pi/2)
@@ -394,13 +408,14 @@ def optimize_initial_state_spin1(
     coarse = np.empty(len(th))
     step = search.chunk_rows
     for k in range(0, len(th), step):
-        f = spin1_qfi_values(th[k : k + step, None], ph[k : k + step, None], chi_grid, tau_grid)
+        p, q = _spin1_coefficients(th[k : k + step, None], ph[k : k + step, None])
+        f = _spin1_from_coefficients(p, q, d_grid, tau_grid)
         coarse[k : k + step] = np.max(f / tau_grid, axis=1)
 
     r_ghz = rate(math.pi / 4, math.pi / 2)
     best_theta, best_phi, best_rate = math.pi / 4, math.pi / 2, r_ghz
-    starts = np.argsort(coarse)[::-1][: search.refine_starts]
-    for idx in starts:
+    starts = []
+    for idx in np.argsort(coarse)[::-1][: search.refine_starts]:
         res = minimize(
             lambda x: -rate(x[0], x[1]),
             [th[idx], ph[idx]],
@@ -408,11 +423,15 @@ def optimize_initial_state_spin1(
             bounds=[(1e-9, math.pi / 2), (1e-9, math.pi / 2)],
             options={"xatol": search.xatol, "fatol": 1e-12},
         )
+        starts.append((int(res.nfev), bool(res.success)))
         if -res.fun > best_rate:
             best_theta, best_phi, best_rate = float(res.x[0]), float(res.x[1]), float(-res.fun)
 
     fid = abs(math.cos(best_theta) + math.sin(best_theta) * math.sin(best_phi)) / math.sqrt(2.0)
-    return StateOptResult(best_theta, best_phi, best_rate, r_ghz, fid)
+    return StateOptResult(
+        best_theta, best_phi, best_rate, r_ghz, fid,
+        rate_evaluations=evaluations, starts=tuple(starts), ghz_won=best_rate == r_ghz,
+    )
 
 
 def dd_scaling(

@@ -79,42 +79,68 @@ def qfi_noisy_ghz(s: SpinQuantumNumber, noise: OUNoise, tau: float) -> QFIResult
     return QFIResult(float(ghz_qfi_values(s, noise, tau)), QFIMethod.CLOSED_FORM_GHZ)
 
 
+def _spin1_coefficients(theta, phi):
+    """Coefficients of the spin-1 QFI as polynomials in D = exp(-2 chi).
+
+    Returns (p, q) in ascending powers of D such that
+    F = tau^2 D p(D) / q(D); p has degree 6 and carries the prefactor
+    4 sin^2 theta, q has degree 3.  Works on floats and on arrays, whose
+    coefficients broadcast like theta and phi.
+    """
+    ct2, st2 = np.cos(theta) ** 2, np.sin(theta) ** 2
+    cf2, sf2 = np.cos(phi) ** 2, np.sin(phi) ** 2
+    w = ct2 + st2 * sf2
+    k = 4.0 * st2
+    ascf = ct2 * st2 * cf2 * sf2
+    high = k * 4.0 * (ct2 * sf2) ** 2  # shared by D^4, D^5 and D^6
+    p = (
+        k * (ct2**2 * cf2 * (cf2 + 2.0 * sf2) + 2.0 * ascf * (cf2 + sf2) + (st2 * cf2 * sf2) ** 2),
+        k * 2.0 * ct2 * cf2 * sf2 * (ct2 + 2.0 * st2 * cf2 + st2 * sf2),
+        k * -4.0 * ascf * cf2,
+        k * 4.0 * ct2 * sf2 * (ct2 * cf2 + ct2 * sf2 + st2 * cf2 * sf2),
+        high,
+        high,
+        high,
+    )
+    q1 = ct2 * w * sf2 + 2.0 * ascf  # also the D^2 coefficient
+    q = (
+        q1 + cf2 * (cf2 * w * st2 + ct2**2 + (st2 * sf2) ** 2),
+        q1,
+        q1,
+        ct2 * w * sf2,
+    )
+    return p, q
+
+
+def _spin1_from_coefficients(p, q, d, tau):
+    """tau^2 D p(D) / q(D) by Horner's rule; 0 where q vanishes."""
+    num = p[6]
+    for c in p[5::-1]:
+        num = num * d + c
+    den = q[3]
+    for c in q[2::-1]:
+        den = den * d + c
+    ok = den > 1e-280
+    return np.where(ok, tau * tau * d * num / np.where(ok, den, 1.0), 0.0)
+
+
 def spin1_qfi_values(theta, phi, chi_value, tau) -> np.ndarray:
     """Vectorized spin-1 QFI for the four-angle state family; broadcasts.
 
-    The underlying rational expression is evaluated with every exponential
-    rewritten in the decaying variable D = exp(-2 chi), so it neither
-    overflows at large chi nor hits the removable cot singularities at the
-    axes.  The denominator vanishes only where the state is a bare S_z
-    eigenstate, which carries no frequency information, so those points
-    return 0.  The result is independent of the two relative phases of the
-    state family.
+    With D = exp(-2 chi) the QFI is F = 4 tau^2 D sin^2(theta) P(D)/Q(D):
+    P has degree 6 and Q degree 3, and their coefficients are trigonometric
+    polynomials in theta and phi alone.  Written in the decaying variable D
+    it neither overflows at large chi nor hits the removable cot
+    singularities of the literal expression at the axes.  A bare S_z
+    eigenstate carries no frequency information and returns 0: sin theta
+    vanishes at |+1>, Q at |0> and |-1>.  The result is independent of the
+    two relative phases of the state family.
     """
-    theta, phi, chi_value, tau = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (theta, phi, chi_value, tau))
-    )
+    theta, phi, chi_value, tau = (np.asarray(a, dtype=float) for a in (theta, phi, chi_value, tau))
     if np.any(chi_value < 0):
         raise ValueError("chi must be nonnegative")
-    d = np.exp(-2.0 * chi_value)
-    st2 = np.sin(theta) ** 2
-    ct2 = np.cos(theta) ** 2
-    sf2 = np.sin(phi) ** 2
-    cf2 = np.cos(phi) ** 2
-    w = ct2 + st2 * sf2
-    g = 1.0 + d + 2.0 * d**3
-    num = (
-        ct2**2 * (cf2**2 + 2.0 * g * cf2 * sf2 + 4.0 * (d**3 + d**4 + d**5 + d**6) * sf2**2)
-        + 2.0 * ct2 * st2 * cf2 * ((1.0 + 2.0 * d - 2.0 * d**2) * cf2 * sf2 + g * sf2**2)
-        + st2**2 * cf2**2 * sf2**2
-    )
-    den = (
-        (1.0 + d + d**2 + d**3) * ct2 * w * sf2
-        + cf2**2 * w * st2
-        + cf2 * (2.0 * (1.0 + d + d**2) * ct2 * st2 * sf2 + ct2**2 + st2**2 * sf2**2)
-    )
-    ok = den > 1e-280
-    out = np.where(ok, 4.0 * tau**2 * d * st2 * num / np.where(ok, den, 1.0), 0.0)
-    return out
+    p, q = _spin1_coefficients(theta, phi)
+    return _spin1_from_coefficients(p, q, np.exp(-2.0 * chi_value), tau)
 
 
 def qfi_spin1_closed(p: Spin1Params, chi_value: float, tau: float) -> QFIResult:

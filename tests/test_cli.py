@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spinsense import cli
+from spinsense import cli, config
 from spinsense.validate import CheckResult
 
 
@@ -196,6 +196,21 @@ class TestOptimizeStateCommand:
         row = [float(v) for v in rows[0]]
         assert row[5] > 0.99  # fidelity with the GHZ-like state
         assert row[2] / row[1] < 1.01
+
+    def test_manifest_diagnostics(self, tmp_path):
+        out = str(tmp_path / "opt.csv")
+        code = run(["optimize-state", "--b", "1", "--tau-c-min", "1e-3",
+                    "--tau-c-max", "100", "--points", "2", "--out", out])
+        assert code == 0
+        points = json.load(open(tmp_path / "opt.manifest.json"))["diagnostics"]["points"]
+        assert [p["tau_c"] for p in points] == [float(r[0]) for r in read_csv(out)[1]]
+        for p in points:
+            assert len(p["starts"]) == config.StateSearchConfig().refine_starts
+            assert all(s["nfev"] > 0 and isinstance(s["success"], bool) for s in p["starts"])
+            # one solve at the GHZ point plus one per simplex evaluation
+            assert p["rate_evaluations"] == 1 + sum(s["nfev"] for s in p["starts"])
+        # the better state beats GHZ when the noise is Markovian, not when quasi-static
+        assert [p["ghz_won"] for p in points] == [False, True]
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         out = str(tmp_path / "huge_b.csv")

@@ -17,7 +17,6 @@ from spinsense import (
     dd_chi,
     dd_t2,
     mc_coherence,
-    sample_ou_path,
     sample_ou_paths,
     t2,
 )
@@ -189,8 +188,8 @@ class TestClassify:
 class TestPathSampler:
     def test_deterministic_and_prefix_stable(self):
         noise = OUNoise(1.0, 0.5)
-        one = sample_ou_path(noise, 0.01, 50, seed=9)
-        again = sample_ou_path(noise, 0.01, 50, seed=9)
+        one = sample_ou_paths(noise, 0.01, 50, 1, seed=9)[0]
+        again = sample_ou_paths(noise, 0.01, 50, 1, seed=9)[0]
         np.testing.assert_array_equal(one, again)
         many = sample_ou_paths(noise, 0.01, 50, 6000, seed=9)
         np.testing.assert_array_equal(many[0], one)
@@ -218,7 +217,7 @@ class TestPathSampler:
     def test_rejects_bad_args(self):
         noise = OUNoise(1.0, 1.0)
         with pytest.raises(ValueError):
-            sample_ou_path(noise, 0.0, 10, 1)
+            sample_ou_paths(noise, 0.0, 10, 1, 1)
         with pytest.raises(ValueError):
             sample_ou_paths(noise, 0.1, 0, 10, 1)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from spinsense import (
     DDProfile,
@@ -20,11 +21,13 @@ from spinsense import (
     optimize_initial_state_spin1,
     qfi_spin1_closed,
     spin1_param_state,
+    spin1_qfi_values,
     sweep,
     t2,
     yield_rate,
     yield_rate_asymptotic,
 )
+from spinsense import protocol
 from spinsense.protocol import _refine_max
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
@@ -308,6 +311,28 @@ class TestStateOptimization:
         r2 = optimize_initial_state_spin1(OUNoise(1.0, 1e-4))
         assert r1.r_max / r1.r_ghz > 1.1
         assert r1.r_max / r1.r_ghz == pytest.approx(r2.r_max / r2.r_ghz, rel=0.02)
+
+    @pytest.mark.parametrize("tau_c", [1e-3, 1.0, 100.0])  # Markovian, intermediate, quasi-static
+    def test_internal_rate_equals_yield_rate(self, monkeypatch, tau_c):
+        # capture the simplex objective instead of running the simplex
+        objectives = []
+
+        def capture(fun, x0, **kwargs):
+            objectives.append(fun)
+            return OptimizeResult(x=np.asarray(x0), fun=fun(x0), nfev=1, success=True)
+
+        monkeypatch.setattr(protocol, "minimize", capture)
+        noise = OUNoise(1.0, tau_c)
+        result = optimize_initial_state_spin1(noise)
+        sq = SpinQuantumNumber(2)
+        for theta, phi in [(np.pi / 4, np.pi / 2), (0.3, 1.2), (1.1, 0.4), (0.02, 1.5),
+                           (1.5, 0.05), (0.9, 0.7)]:
+            curve = lambda t: spin1_qfi_values(theta, phi, chi(noise, t), t)
+            expected = yield_rate(sq, noise, curve).rate
+            assert -objectives[0](np.array([theta, phi])) == pytest.approx(expected, rel=1e-12)
+        # the GHZ point plus the one evaluation each stubbed start made
+        assert result.rate_evaluations == 1 + len(objectives)
+        assert result.starts == ((1, True),) * len(objectives)
 
     def test_phase_angles_do_not_enter_objective(self):
         # the optimizer's objective is built from the phase-free closed form;

@@ -52,6 +52,37 @@ def qfi_spin1_cot_form(theta, phi, chi_val, tau):
     return 4 * tau**2 * math.exp(-8 * chi_val) * math.sin(theta) ** 2 * sf2**2 * num / den
 
 
+def qfi_spin1_factored(theta, phi, chi_val, tau):
+    """The spin-1 QFI as a ratio of factored trigonometric polynomials in D.
+
+    Same rational expression as the cot form, with every exponential
+    rewritten in D = exp(-2 chi) and grouped by angle terms; finite on the
+    axes.  The production code evaluates the same ratio from coefficients
+    of D expanded once per state, so this keeps the grouped form as a
+    reference for the expansion.
+    """
+    theta, phi, chi_val, tau = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (theta, phi, chi_val, tau))
+    )
+    d = np.exp(-2.0 * chi_val)
+    st2, ct2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+    sf2, cf2 = np.sin(phi) ** 2, np.cos(phi) ** 2
+    w = ct2 + st2 * sf2
+    g = 1.0 + d + 2.0 * d**3
+    num = (
+        ct2**2 * (cf2**2 + 2.0 * g * cf2 * sf2 + 4.0 * (d**3 + d**4 + d**5 + d**6) * sf2**2)
+        + 2.0 * ct2 * st2 * cf2 * ((1.0 + 2.0 * d - 2.0 * d**2) * cf2 * sf2 + g * sf2**2)
+        + st2**2 * cf2**2 * sf2**2
+    )
+    den = (
+        (1.0 + d + d**2 + d**3) * ct2 * w * sf2
+        + cf2**2 * w * st2
+        + cf2 * (2.0 * (1.0 + d + d**2) * ct2 * st2 * sf2 + ct2**2 + st2**2 * sf2**2)
+    )
+    ok = den > 1e-280
+    return np.where(ok, 4.0 * tau**2 * d * st2 * num / np.where(ok, den, 1.0), 0.0)
+
+
 class TestNoiseFreeGHZ:
     def test_spin_half_unit(self):
         assert qfi_noisefree_ghz(SpinQuantumNumber(1), 1.0).value == pytest.approx(1.0)
@@ -122,6 +153,33 @@ class TestSpin1ClosedForm:
             ours = qfi_spin1_closed(Spin1Params(theta, phi), chi_val, tau).value
             literal = qfi_spin1_cot_form(theta, phi, chi_val, tau)
             assert ours == pytest.approx(literal, rel=1e-10)
+
+    def test_coefficient_form_matches_factored_form(self):
+        rng = np.random.default_rng(12)
+        n = 20_000
+        theta = rng.uniform(0.0, np.pi / 2, n)
+        phi = rng.uniform(0.0, np.pi / 2, n)
+        axes = np.array([0.0, np.pi / 2])
+        theta[: n // 4] = rng.choice(axes, n // 4)
+        phi[n // 8 : 3 * n // 8] = rng.choice(axes, n // 4)
+        chi_val = np.concatenate([[0.0, 1e3], 10.0 ** rng.uniform(-12.0, 3.0, n - 2)])
+        chi_val[2 : n // 10] = 0.0
+        tau = rng.uniform(0.01, 10.0, n)
+        ours = spin1_qfi_values(theta, phi, chi_val, tau)
+        ref = qfi_spin1_factored(theta, phi, chi_val, tau)
+        assert np.count_nonzero(ref > np.finfo(float).tiny) > 0.75 * n
+        # subnormal values (chi beyond ~350) carry no relative precision in either form
+        np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=np.finfo(float).tiny)
+
+    def test_zero_at_sz_eigenstates(self):
+        # theta = 0 is |m=+1> for every phi: exactly no frequency information
+        for phi in (0.0, 0.4, np.pi / 2):
+            for chi_val in (0.0, 0.3, 40.0, 1e3):
+                assert spin1_qfi_values(0.0, phi, chi_val, 1.7) == 0.0
+        # |0> and |-1> sit at theta = pi/2, which a float only approximates
+        # to ~6e-17 rad; what is left is the QFI of that rounding
+        for phi in (0.0, np.pi / 2):
+            assert 0.0 <= spin1_qfi_values(np.pi / 2, phi, 0.3, 1.0) < 1e-30
 
     def test_finite_on_the_axes(self):
         # the rewrite stays finite where the cot form blows up
