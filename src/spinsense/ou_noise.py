@@ -30,6 +30,7 @@ _CHI_SERIES_BELOW = 1e-4  # below this x, evaluate x + e^-x - 1 by series
 _T2_RTOL = 1e-12  # relative bracket width at which the T2 solve stops
 _T2_STEP = 0.4 * _T2_RTOL  # smallest step of the T2 solve, in log t
 _LN2 = math.log(2.0)  # bracket moves halve or double t
+_MC_CHUNK_ROWS = 256  # paths drawn and reduced per chunk of a Monte Carlo block
 
 
 @dataclass(frozen=True)
@@ -244,15 +245,11 @@ def _regime_kind(param: float) -> RegimeKind:
     return RegimeKind.INTERMEDIATE
 
 
-def _ou_block(noise: OUNoise, dt: float, steps: int, seed: int, block_index: int) -> np.ndarray:
-    """One full block of stationary paths, shape (MC_BLOCK_SIZE, steps + 1)."""
-    alpha = math.exp(-dt / noise.tau_c)
-    sigma_step = noise.b * math.sqrt(-math.expm1(-2.0 * dt / noise.tau_c))
-    rng = np.random.default_rng([seed, block_index])
-    w = rng.standard_normal((config.MC_BLOCK_SIZE, steps + 1))
-    w[:, 0] *= noise.b
-    w[:, 1:] *= sigma_step
-    return lfilter([1.0], [1.0, -alpha], w, axis=1)
+def _ou_step(noise: OUNoise, dt: float) -> tuple[float, float]:
+    """Exact transition over dt: decay factor alpha and innovation scale sigma_step."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    return math.exp(-dt / noise.tau_c), noise.b * math.sqrt(-math.expm1(-2.0 * dt / noise.tau_c))
 
 
 def sample_ou_paths(noise: OUNoise, dt: float, steps: int, n_paths: int, seed: int) -> np.ndarray:
@@ -262,11 +259,11 @@ def sample_ou_paths(noise: OUNoise, dt: float, steps: int, n_paths: int, seed: i
     x_{k+1} = x_k e^{-dt/tau_c} + b sqrt(1 - e^{-2 dt/tau_c}) xi_k,
     so every marginal is exactly stationary at any dt.  Paths are generated
     in fixed blocks of ``config.MC_BLOCK_SIZE``, block j seeded as
-    (seed, j); path i is therefore independent of n_paths and of how blocks
-    are distributed over workers.
+    (seed, j), path i taking its steps + 1 normals from row i mod block of
+    that block's stream; path i is therefore independent of n_paths and of
+    how blocks are distributed over workers.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    alpha, sigma_step = _ou_step(noise, dt)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     if n_paths < 1:
@@ -274,10 +271,33 @@ def sample_ou_paths(noise: OUNoise, dt: float, steps: int, n_paths: int, seed: i
     block = config.MC_BLOCK_SIZE
     out = np.empty((n_paths, steps + 1))
     for j in range((n_paths + block - 1) // block):
-        x = _ou_block(noise, dt, steps, seed, j)
         rows = slice(j * block, min((j + 1) * block, n_paths))
-        out[rows] = x[: rows.stop - rows.start]
+        w = np.random.default_rng([seed, j]).standard_normal((rows.stop - rows.start, steps + 1))
+        w[:, 0] *= noise.b
+        w[:, 1:] *= sigma_step
+        out[rows] = lfilter([1.0], [1.0, -alpha], w, axis=1)
     return out
+
+
+def _phase_weights(noise: OUNoise, dt: float, steps: int) -> np.ndarray:
+    """Weights c with trapezoid phase = xi @ c for the raw normals xi of one path.
+
+    The path is x_k = sum_{j<=k} alpha^(k-j) e_j with alpha = e^{-dt/tau_c},
+    e_0 = b xi_0 and e_j = sigma_step xi_j, so the phase sum_k w_k x_k equals
+    sum_j e_j G_j with G_j = sum_{k>=j} w_k alpha^(k-j), built by the backward
+    recursion G_k = w_k + alpha G_{k+1}.
+    """
+    alpha, sigma_step = _ou_step(noise, dt)
+    g = np.empty(steps + 1)
+    acc = 0.5 * dt  # the trapezoid's end weight
+    g[steps] = acc
+    for k in range(steps - 1, 0, -1):
+        acc = dt + alpha * acc
+        g[k] = acc
+    g[0] = 0.5 * dt + alpha * acc
+    g[1:] *= sigma_step
+    g[0] *= noise.b
+    return g
 
 
 @dataclass(frozen=True)
@@ -304,11 +324,23 @@ def mc_coherence(
     sampled noise trajectory over [0, tau]; the analytic target of the mean
     is exp(-(2S)^2 chi(tau)), with zero imaginary part.  The requested dt is
     shrunk so that an integer number of steps lands exactly on tau.
+
+    The phase is linear in the path's steps + 1 raw normals xi, so it is
+    one dot product xi @ c with folded weights c_0 = b G_0 and
+    c_k = sigma_step G_k (k >= 1), where G_k = w_k + alpha G_{k+1} runs
+    backward over the trapezoid weights w, alpha = e^{-dt/tau_c}.  This is
+    the trapezoid sum over the paths of ``sample_ou_paths`` at the same seed,
+    up to rounding, without forming them.  The weights come from the
+    discretization alone and ``chi`` is not used, so the estimate stays an
+    independent check of the closed form.  Seeding is unchanged: block j of
+    ``config.MC_BLOCK_SIZE`` paths draws one normal per path per step from
+    (seed, j), and only the requested paths' rows are drawn.
     """
     if paths < config.MC_MIN_PATHS:
         raise ValueError(f"paths must be >= {config.MC_MIN_PATHS}, got {paths!r}")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
+    _ou_step(noise, dt)  # rejects a dt that is not positive and finite
     if dt > noise.tau_c / config.MC_DT_RESOLUTION:
         raise ValueError(
             f"dt = {dt!r} too coarse for tau_c = {noise.tau_c!r}: the sampler "
@@ -318,17 +350,19 @@ def mc_coherence(
     if tau == 0:
         return McCoherence(1.0 + 0.0j, 0.0, 0.0, paths)
     steps = max(1, math.ceil(tau / dt))
-    dt_eff = tau / steps
-    weights = np.full(steps + 1, dt_eff)
-    weights[0] = weights[-1] = dt_eff / 2.0
+    c = _phase_weights(noise, tau / steps, steps)
     block = config.MC_BLOCK_SIZE
-    zs = []
+    phase = np.empty(paths)
+    buf = np.empty((min(_MC_CHUNK_ROWS, paths), steps + 1))
     for j in range((paths + block - 1) // block):
-        x = _ou_block(noise, dt_eff, steps, seed, j)
-        n_take = min((j + 1) * block, paths) - j * block
-        phase = x[:n_take] @ weights
-        zs.append(np.exp(-1j * s.two_s * phase))
-    z = np.concatenate(zs)
+        rng = np.random.default_rng([seed, j])
+        end = min((j + 1) * block, paths)
+        # consecutive row chunks of one stream are the rows of the whole block
+        for lo in range(j * block, end, _MC_CHUNK_ROWS):
+            xi = buf[: min(_MC_CHUNK_ROWS, end - lo)]
+            rng.standard_normal(out=xi)
+            np.matmul(xi, c, out=phase[lo : lo + len(xi)])
+    z = np.exp(-1j * s.two_s * phase)
     return McCoherence(
         mean=complex(z.mean()),
         stderr_real=float(z.real.std(ddof=1) / math.sqrt(paths)),

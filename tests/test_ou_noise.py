@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from spinsense import (
     DDProfile,
@@ -20,6 +21,7 @@ from spinsense import (
     sample_ou_paths,
     t2,
 )
+from spinsense.ou_noise import _phase_weights
 
 mp.mp.dps = 40
 
@@ -220,6 +222,15 @@ class TestPathSampler:
             sample_ou_paths(noise, 0.0, 10, 1, 1)
         with pytest.raises(ValueError):
             sample_ou_paths(noise, 0.1, 0, 10, 1)
+        for dt in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                sample_ou_paths(noise, dt, 10, 1, 1)
+
+
+def trapezoid(dt, steps):
+    w = np.full(steps + 1, dt)
+    w[0] = w[-1] = dt / 2
+    return w
 
 
 class TestMcCoherence:
@@ -250,6 +261,53 @@ class TestMcCoherence:
     def test_rejects_few_paths(self):
         with pytest.raises(ValueError):
             mc_coherence(SpinQuantumNumber(1), OUNoise(1.0, 0.1), 1.0, 50, 1e-3, 1)
+
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_dt(self, dt):
+        # dt = -1 used to run one trapezoid step of size tau past the dt guard
+        with pytest.raises(ValueError, match="dt must be positive"):
+            mc_coherence(SpinQuantumNumber(1), OUNoise(1.0, 0.1), 1.0, 1000, dt, 1)
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            mc_coherence(SpinQuantumNumber(1), OUNoise(1.0, 0.1), tau, 1000, 1e-3, 1)
+
+    @pytest.mark.parametrize(
+        "two_s, noise, tau, dt, paths",
+        [
+            (2, OUNoise(1.0, 0.1), 0.3, 0.1 / 40, 5000),  # a partial last block
+            (4, OUNoise(0.7, 2.0), 0.05, 0.05, 300),  # steps = 1
+            (1, OUNoise(1.3, 0.02), 0.07, 0.02 / 33, 4096),  # dt shrunk onto tau
+        ],
+    )
+    def test_equals_trapezoid_over_sampled_paths(self, two_s, noise, tau, dt, paths):
+        est = mc_coherence(SpinQuantumNumber(two_s), noise, tau, paths, dt, seed=8)
+        steps = max(1, math.ceil(tau / dt))
+        x = sample_ou_paths(noise, tau / steps, steps, paths, seed=8)
+        z = np.exp(-1j * two_s * (x @ trapezoid(tau / steps, steps)))
+        assert abs(est.mean - z.mean()) <= 1e-12
+        assert est.stderr_real == pytest.approx(z.real.std(ddof=1) / math.sqrt(paths), rel=1e-9)
+        assert est.stderr_imag == pytest.approx(z.imag.std(ddof=1) / math.sqrt(paths), rel=1e-9)
+        assert est.n_paths == paths
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        steps=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_folded_weights_equal_filter_and_trapezoid(self, alpha, steps, seed):
+        noise = OUNoise(1.7, 1.0)
+        dt = -math.log(alpha)
+        a = math.exp(-dt)
+        sigma_step = noise.b * math.sqrt(-math.expm1(-2.0 * dt))
+        xi = np.random.default_rng(seed).standard_normal((16, steps + 1))
+        e = xi * np.r_[noise.b, np.full(steps, sigma_step)]
+        reference = lfilter([1.0], [1.0, -a], e, axis=1) @ trapezoid(dt, steps)
+        folded = xi @ _phase_weights(noise, dt, steps)
+        spread = np.sqrt(np.mean(reference**2))
+        assert np.max(np.abs(folded - reference)) <= 1e-12 * spread
 
 
 class TestDDChi:
