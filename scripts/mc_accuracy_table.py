@@ -6,16 +6,23 @@ Usage: python scripts/mc_accuracy_table.py [--paths N] [--seed K]
 For each grid point this shows the Monte Carlo estimate of the extremal
 coherence, the closed-form target exp(-(2S)^2 chi), the pull in standard
 errors, and the imaginary residual which must be statistical noise.
+
+Exits 1 if any real or imaginary |pull| exceeds PULL_BOUND = 4 standard
+errors.  For a correct sampler each pull is close to a standard normal
+deviate, so one of the 24 pulls passes 4 with probability about 1.5e-3.
 """
 
 import argparse
 import math
+import sys
 
 from spinsense import OUNoise, SpinQuantumNumber, chi, classify, mc_coherence
 from spinsense.validate import MC_GRID
 
+PULL_BOUND = 4.0
 
-def main() -> None:
+
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--paths", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=42)
@@ -25,6 +32,7 @@ def main() -> None:
               f"{'mc real':>10} {'analytic':>10} {'pull':>6} {'imag pull':>9}")
     print(header)
     print("-" * len(header))
+    worst = 0.0
     for i, (s_val, b, tau_c, tau) in enumerate(MC_GRID):
         s = SpinQuantumNumber.from_s(s_val)
         noise = OUNoise(b, tau_c)
@@ -36,7 +44,12 @@ def main() -> None:
         regime = classify(s, noise).kind.value
         print(f"{regime:>13} {s_val:>4g} {b:>5g} {tau_c:>7g} {tau:>6g} "
               f"{est.mean.real:>10.6f} {target:>10.6f} {pull:>+6.2f} {ipull:>+9.2f}")
+        worst = max(worst, abs(pull), abs(ipull))
+    if not worst <= PULL_BOUND:
+        print(f"FAIL: largest |pull| {worst:.2f} exceeds {PULL_BOUND:g}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

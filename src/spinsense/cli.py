@@ -15,7 +15,9 @@ command writes a ``<out>.manifest.json`` recording parameters, seeds, the
 RNG algorithm, the produced files and solver diagnostics (for a sweep, the
 rows written, de-duplicated, failed and on the scan boundary; for a state
 optimization, per point the yield-rate solves, each Nelder-Mead start's
-evaluations and convergence flag, and whether the GHZ point won).  The default
+evaluations and convergence flag, and whether the GHZ point won; for the
+oracle suite, the tuples drawn, the draws rejected and the SLD matrices per
+dimension).  The default
 output directory is ``$SPINSENSE_OUTDIR`` (falling back to the working
 directory).
 
@@ -242,7 +244,8 @@ def cmd_optimize_state(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     started = time.time()
-    checks = run_suite(args.suite, args.seed)
+    diagnostics: dict = {}
+    checks = run_suite(args.suite, args.seed, diagnostics)
     all_passed = all(c.passed for c in checks)
     report = {
         "suite": args.suite,
@@ -254,7 +257,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(out, "validate", {"suite": args.suite}, args.seed, started, [out])
+    _write_manifest(out, "validate", {"suite": args.suite}, args.seed, started, [out], diagnostics)
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: "
               f"measured={c.measured:.6g} expected={c.expected:.6g} tol={c.tolerance:.3g}")

@@ -7,7 +7,8 @@ Three routes are provided and cross-validated against each other:
 * a closed form for the general four-angle spin-1 state, written as a ratio
   of trigonometric polynomials so it stays finite at every angle;
 * a generic mixed-state evaluator that diagonalizes rho and sums the
-  symmetric-logarithmic-derivative series, used as the independent oracle.
+  symmetric-logarithmic-derivative series, used as the independent oracle;
+  it runs on one matrix (``qfi_generic``) or on stacks (``_sld_sum``).
 
 Where the closed forms and the generic route disagree beyond tolerance, the
 generic route is authoritative.
@@ -28,6 +29,7 @@ from .spin_ops import (
     PureState,
     Spin1Params,
     SpinQuantumNumber,
+    _check_density,
     _delta_m,
     dephase,
 )
@@ -179,17 +181,25 @@ def qfi_generic(
 
     F = sum over eigenpairs of 2 |<i| drho |j>|^2 / (p_i + p_j), skipping
     pairs with p_i + p_j <= cutoff.  Works for any parameterization; serves
-    as the independent oracle for the closed forms.
+    as the independent oracle for the closed forms.  It is the one-matrix
+    case of ``_sld_sum``, the stacked route of the oracle suite.
     """
-    drho = np.asarray(drho, dtype=complex)
-    if np.max(np.abs(drho - drho.conj().T)) > _DRHO_HERMITICITY_TOL:
-        raise ValueError("drho is not Hermitian")
-    p, u = np.linalg.eigh(rho.entries)
-    m = u.conj().T @ drho @ u
-    denom = p[:, None] + p[None, :]
-    keep = denom > cutoff
-    value = float(np.sum(2.0 * np.abs(m) ** 2 * keep / np.where(keep, denom, 1.0)))
+    value = float(_sld_sum(rho.entries, np.asarray(drho, dtype=complex), cutoff))
     return QFIResult(value, QFIMethod.GENERIC_SLD)
+
+
+def _sld_sum(rho: np.ndarray, drho: np.ndarray, cutoff: float = config.SLD_EIGENVALUE_CUTOFF):
+    """``qfi_generic``'s series on (..., d, d) stacks of rho and drho, one value
+    per matrix.  One batched eigh; its eigenvalues serve the density checks."""
+    if np.max(np.abs(drho - drho.conj().swapaxes(-1, -2))) > _DRHO_HERMITICITY_TOL:
+        raise ValueError("drho is not Hermitian")
+    p, u = np.linalg.eigh(rho)
+    _check_density(rho, p)
+    m = u.conj().swapaxes(-1, -2) @ drho @ u
+    denom = p[..., :, None] + p[..., None, :]
+    keep = denom > cutoff
+    terms = 2.0 * np.abs(m) ** 2 * keep / np.where(keep, denom, 1.0)
+    return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
 
 
 def min_error(f: QFIResult, nu: int) -> float:

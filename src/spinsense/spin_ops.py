@@ -23,6 +23,28 @@ TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    """Raise ValueError unless every amplitude row (last axis) has unit norm."""
+    norm_sq = np.sum(np.abs(amps) ** 2, axis=-1)
+    if np.any(bad := np.abs(norm_sq - 1.0) > NORM_TOL):
+        raise ValueError(f"state not normalized: sum |psi|^2 = {float(norm_sq[bad].flat[0])!r}")
+
+
+def _check_density(rho: np.ndarray, eigenvalues: np.ndarray | None = None) -> None:
+    """Raise ValueError unless every (d, d) matrix of the stack rho is Hermitian,
+    has trace 1 and no eigenvalue below EIGENVALUE_FLOOR.  ``eigenvalues``
+    (ascending) spare a second diagonalization; else eigvalsh runs last."""
+    if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    trace = np.asarray(np.trace(rho, axis1=-2, axis2=-1))
+    if np.any(bad := (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)):
+        raise ValueError(f"trace must be 1, got {complex(trace[bad].flat[0])!r}")
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(rho)
+    if np.any(eigenvalues[..., 0] < EIGENVALUE_FLOOR):
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
 @dataclass(frozen=True)
 class SpinQuantumNumber:
     """Spin S stored as the doubled integer 2S, keeping half-integers exact."""
@@ -63,9 +85,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: sum |psi|^2 = {norm_sq!r}")
+        _check_norm(amps)
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -85,12 +105,7 @@ class DensityMatrix:
         rho = np.asarray(self.entries, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {np.trace(rho)!r}")
-        if float(np.linalg.eigvalsh(rho)[0]) < EIGENVALUE_FLOOR:
-            raise ValueError("density matrix has a negative eigenvalue")
+        _check_density(rho)
         rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
@@ -128,15 +143,16 @@ def ghz_like_state(s: SpinQuantumNumber) -> PureState:
 
 
 def spin1_param_state(p: Spin1Params) -> PureState:
-    amps = np.array(
-        [
-            np.cos(p.theta),
-            np.exp(1j * p.lambda1) * np.sin(p.theta) * np.cos(p.phi),
-            np.exp(1j * p.lambda2) * np.sin(p.theta) * np.sin(p.phi),
-        ],
-        dtype=complex,
-    )
-    return PureState(amps)
+    return PureState(_spin1_amplitudes(p.theta, p.phi, p.lambda1, p.lambda2))
+
+
+def _spin1_amplitudes(theta, phi, lambda1, lambda2) -> np.ndarray:
+    """Spin1Params amplitudes for arrays of angles, m = (1, 0, -1) on the last axis."""
+    return np.stack(np.broadcast_arrays(
+        np.cos(theta),
+        np.exp(1j * lambda1) * np.sin(theta) * np.cos(phi),
+        np.exp(1j * lambda2) * np.sin(theta) * np.sin(phi),
+    ), axis=-1)
 
 
 def _delta_m(dim: int) -> np.ndarray:
@@ -159,12 +175,21 @@ def dephase(psi: PureState, omega: float, tau: float, chi: float) -> DensityMatr
     damped by the square of its quantum-number distance.  The damping kernel
     is positive definite, so the output stays a valid density matrix.
     """
-    if chi < 0:
-        raise ValueError(f"chi must be nonnegative, got {chi!r}")
-    evolved = evolve_noisefree(psi, omega, tau).amplitudes
-    dm = _delta_m(len(evolved))
-    rho = np.outer(evolved, evolved.conj()) * np.exp(-(dm**2) * chi)
-    return DensityMatrix(rho)
+    return DensityMatrix(_dephase_stack(psi.amplitudes[None], omega, tau, chi)[0])
+
+
+def _dephase_stack(amps: np.ndarray, omega, tau, chi) -> np.ndarray:
+    """``dephase`` on stacks: amplitude rows (n, d) with omega, tau and chi per
+    row (or scalars) give (n, d, d) matrices.  Checks each evolved row's norm;
+    the density checks are the caller's (``_check_density``)."""
+    omega, tau, chi = (np.asarray(a, dtype=float)[..., None] for a in (omega, tau, chi))
+    if np.any(chi < 0):
+        raise ValueError(f"chi must be nonnegative, got {float(np.min(chi))!r}")
+    m = (amps.shape[-1] - 1 - 2.0 * np.arange(amps.shape[-1])) / 2.0
+    evolved = amps * np.exp(-1j * m * omega * tau)
+    _check_norm(evolved)
+    dm = _delta_m(amps.shape[-1])
+    return evolved[:, :, None] * evolved.conj()[:, None, :] * np.exp(-(dm**2) * chi[..., None])
 
 
 def fidelity(a: PureState, b: PureState) -> float:

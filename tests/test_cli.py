@@ -253,6 +253,24 @@ class TestValidateCommand:
         assert code == 1
         assert "[FAIL]" in captured.out
 
+    def test_oracle_manifest_diagnostics(self, tmp_path, capsys):
+        out = str(tmp_path / "oracle.json")
+        assert run(["validate", "--suite", "oracle", "--seed", "123", "--out", out]) == 0
+        capsys.readouterr()
+        diag = json.load(open(tmp_path / "oracle.manifest.json"))["diagnostics"]
+        assert diag["tuples"] == 1000
+        assert isinstance(diag["draws_rejected"], int) and diag["draws_rejected"] > 0
+        matrices = diag["sld_matrices"]
+        assert set(matrices) <= {"2", "3", "4", "5", "9"}
+        # one GHZ and one spin-1 matrix per tuple, plus the 35-state phase block at d = 3
+        assert sum(matrices.values()) == 2 * 1000 + 35 and matrices["3"] >= 1035
+        report = json.load(open(out))
+        assert set(report) == {"suite", "seed", "passed", "checks"}
+        dd = str(tmp_path / "dd.json")
+        run(["validate", "--suite", "dd", "--out", dd])
+        capsys.readouterr()
+        assert json.load(open(tmp_path / "dd.manifest.json"))["diagnostics"] == {}
+
     def test_unknown_suite_exit_2(self, capsys):
         assert run(["validate", "--suite", "bogus"]) == 2
         capsys.readouterr()

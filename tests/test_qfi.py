@@ -1,3 +1,4 @@
+import contextvars
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from spinsense import (
     chi,
     dephase,
     drho_domega,
+    evolve_noisefree,
     ghz_like_state,
     min_error,
     qfi_generic,
@@ -25,6 +27,9 @@ from spinsense import (
     spin1_param_state,
     spin1_qfi_values,
 )
+from spinsense import config, validate
+from spinsense.qfi import _sld_sum
+from spinsense.spin_ops import _delta_m, _dephase_stack
 from spinsense.validate import oracle_checks
 
 
@@ -81,6 +86,65 @@ def qfi_spin1_factored(theta, phi, chi_val, tau):
     )
     ok = den > 1e-280
     return np.where(ok, 4.0 * tau**2 * d * st2 * num / np.where(ok, den, 1.0), 0.0)
+
+
+def sld_qfi_one_matrix(rho, drho):
+    """The SLD series for one matrix, written apart from the stacked route:
+    one eigh, then the sum over eigenpairs."""
+    p, u = np.linalg.eigh(rho)
+    m = u.conj().T @ drho @ u
+    denom = p[:, None] + p[None, :]
+    keep = denom > config.SLD_EIGENVALUE_CUTOFF
+    return float(np.sum(2.0 * np.abs(m) ** 2 * keep / np.where(keep, denom, 1.0)))
+
+
+def oracle_checks_per_tuple(seed, n_tuples):
+    """The oracle suite one density matrix at a time, the reference for the
+    stacked route: draws, dephased state, derivative and SLD sum per tuple.
+    Also returns the number of (S, noise, tau) draws rejected."""
+
+    def dephased(psi, omega, tau, chi_val):
+        evolved = evolve_noisefree(psi, omega, tau).amplitudes
+        rho = np.outer(evolved, evolved.conj()) * np.exp(-(_delta_m(len(evolved)) ** 2) * chi_val)
+        return rho, rho * (-1j * _delta_m(len(evolved)) * tau)
+
+    rng = np.random.default_rng(seed)
+    worst_ghz = worst_spin1 = 0.0
+    rejected = -n_tuples
+    for _ in range(n_tuples):
+        while True:
+            rejected += 1
+            s = SpinQuantumNumber(int(rng.choice([1, 2, 3, 4, 8])))
+            noise = OUNoise(
+                float(np.exp(rng.uniform(np.log(0.05), np.log(2.0)))),
+                float(np.exp(rng.uniform(np.log(0.01), np.log(10.0)))),
+            )
+            tau = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
+            if s.two_s**2 * chi(noise, tau) <= 3.0:
+                break
+        omega = float(rng.uniform(-2.0, 2.0))
+        chi_val = float(chi(noise, tau))
+        generic = sld_qfi_one_matrix(*dephased(ghz_like_state(s), omega, tau, chi_val))
+        closed = qfi_noisy_ghz(s, noise, tau).value
+        worst_ghz = max(worst_ghz, abs(generic - closed) / max(generic, closed))
+
+        params = Spin1Params(
+            float(rng.uniform(0.1, math.pi / 2 - 0.1)),
+            float(rng.uniform(0.1, math.pi / 2 - 0.1)),
+            float(rng.uniform(0.0, 2 * math.pi)),
+            float(rng.uniform(0.0, 2 * math.pi)),
+        )
+        chi1 = min(chi_val, 0.75)
+        generic1 = sld_qfi_one_matrix(*dephased(spin1_param_state(params), omega, tau, chi1))
+        closed1 = float(spin1_qfi_values(params.theta, params.phi, chi1, tau))
+        worst_spin1 = max(worst_spin1, abs(generic1 - closed1) / max(generic1, closed1))
+
+    vals = [
+        sld_qfi_one_matrix(*dephased(spin1_param_state(Spin1Params(0.7, 0.9, l1, l2)), 0.8, 0.6, 0.2))
+        for l1 in np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
+        for l2 in np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
+    ]
+    return worst_ghz, worst_spin1, float(np.max(vals) - np.min(vals)), rejected
 
 
 class TestNoiseFreeGHZ:
@@ -307,7 +371,62 @@ class TestMinError:
             min_error(QFIResult(1.0, QFIMethod.GENERIC_SLD), 0)
 
 
+class TestStackedSLD:
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_equals_qfi_generic_matrix_by_matrix(self, dim):
+        rng = np.random.default_rng(dim)
+        amps = rng.normal(size=(40, dim)) + 1j * rng.normal(size=(40, dim))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        omega, tau, chi_val = rng.uniform(-2, 2, 40), rng.uniform(0.05, 2, 40), rng.uniform(0, 1, 40)
+        chi_val[:4] = 0.0  # pure states: rank one, most eigenpairs below the cutoff
+        rho = _dephase_stack(amps, omega, tau, chi_val)
+        stacked = _sld_sum(rho, rho * (-1j * _delta_m(dim) * tau[:, None, None]))
+        for i in range(40):
+            psi = PureState(amps[i])
+            single = qfi_generic(dephase(psi, omega[i], tau[i], chi_val[i]),
+                                 drho_domega(psi, omega[i], tau[i], chi_val[i])).value
+            reference = sld_qfi_one_matrix(rho[i], drho_domega(psi, omega[i], tau[i], chi_val[i]))
+            assert abs(stacked[i] - single) <= 1e-15 * single
+            assert abs(stacked[i] - reference) <= 1e-15 * reference
+
+    def test_rejects_invalid_rho_or_drho_in_any_matrix(self):
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        rho = _dephase_stack(amps, 0.4, 0.9, 0.2)
+        drho = rho * (-1j * _delta_m(3) * 0.9)
+        _sld_sum(rho, drho)
+
+        def with_matrix_4(stack, matrix):
+            stack = stack.copy()
+            stack[4] = matrix
+            return stack
+
+        skew = np.zeros((3, 3))
+        skew[0, 1] = 1e-6
+        for bad_rho, bad_drho in (
+            (with_matrix_4(rho, rho[4] + skew), drho),  # rho non-Hermitian
+            (with_matrix_4(rho, 1.01 * rho[4]), drho),  # trace 1.01
+            (with_matrix_4(rho, np.diag([1.5, -0.5, 0.0])), drho),  # negative eigenvalue
+            (rho, with_matrix_4(drho, drho[4] + skew)),  # drho non-Hermitian
+        ):
+            with pytest.raises(ValueError):
+                _sld_sum(bad_rho, bad_drho)
+
+
 class TestOracleEquivalence:
+    @pytest.mark.parametrize("seed", [4, 2024])
+    def test_stacked_suite_equals_per_tuple_loop(self, seed):
+        *expected, rejected = oracle_checks_per_tuple(seed, 200)
+        diagnostics = {}
+
+        def stacked():
+            validate._DIAGNOSTICS.set(diagnostics)
+            return oracle_checks(seed, 200)
+
+        assert contextvars.copy_context().run(stacked) == tuple(expected)
+        assert diagnostics["tuples"] == 200 and diagnostics["draws_rejected"] == rejected
+
     def test_closed_forms_vs_sld_random_tuples(self):
         worst_ghz, worst_spin1, phase_spread = oracle_checks(seed=777, n_tuples=300)
         assert worst_ghz < 1e-8

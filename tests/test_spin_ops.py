@@ -15,6 +15,7 @@ from spinsense import (
     spin1_param_state,
     sz_operator,
 )
+from spinsense.spin_ops import _check_density, _dephase_stack
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -229,3 +230,55 @@ class TestDensityMatrixInvariants:
         assert rho.dimension == psi.dimension
         np.testing.assert_allclose(np.diag(rho.entries).real, np.abs(psi.amplitudes) ** 2,
                                    atol=1e-12)
+
+
+class TestStackedChecks:
+    """The stacked dephase and density checks reject what the value types reject,
+    whichever matrix of the stack is at fault."""
+
+    def stack(self):
+        psis = [random_state(3, seed) for seed in range(5)]
+        amps = np.array([p.amplitudes for p in psis])
+        return _dephase_stack(amps, np.linspace(-1, 1, 5), np.full(5, 0.7), np.full(5, 0.1))
+
+    def test_matches_dephase_matrix_by_matrix(self):
+        amps = np.array([random_state(4, seed).amplitudes for seed in range(6)])
+        omega, tau, chi = np.linspace(-2, 2, 6), np.linspace(0.1, 2, 6), np.linspace(0, 1, 6)
+        rho = _dephase_stack(amps, omega, tau, chi)
+        dm = np.subtract.outer(np.arange(5), np.arange(5))
+        for i in range(6):
+            evolved = evolve_noisefree(PureState(amps[i]), omega[i], tau[i]).amplitudes
+            ref = np.outer(evolved, evolved.conj()) * np.exp(-(dm**2) * chi[i])
+            assert np.array_equal(rho[i], ref)
+            assert np.array_equal(dephase(PureState(amps[i]), omega[i], tau[i], chi[i]).entries, ref)
+
+    def test_valid_stack_passes(self):
+        rho = self.stack()
+        _check_density(rho)
+        _check_density(rho, np.linalg.eigvalsh(rho))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m + np.triu(np.full_like(m, 1e-6), 1),  # non-Hermitian
+        lambda m: 1.01 * m,  # trace 1.01
+        # imaginary trace 1.5e-12, spread so that Hermiticity alone would pass
+        lambda m: m + 1.5e-12j * np.eye(len(m)) / len(m),
+        lambda m: np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),  # negative eigenvalue
+    ])
+    def test_rejects_what_density_matrix_rejects(self, corrupt):
+        rho = self.stack()
+        rho[2] = corrupt(rho[2])
+        with pytest.raises(ValueError):
+            DensityMatrix(rho[2])
+        with pytest.raises(ValueError):
+            _check_density(rho)
+        with pytest.raises(ValueError):
+            _check_density(rho, np.linalg.eigh(rho)[0])
+
+    def test_rejects_unnormalized_row_and_negative_chi(self):
+        amps = np.array([random_state(2, seed).amplitudes for seed in range(3)])
+        _dephase_stack(amps, 0.3, 0.5, np.array([0.0, 0.1, 0.2]))
+        with pytest.raises(ValueError, match="chi"):
+            _dephase_stack(amps, 0.3, 0.5, np.array([0.0, -0.1, 0.2]))
+        amps[1] *= 1.001
+        with pytest.raises(ValueError, match="normalized"):
+            _dephase_stack(amps, 0.3, 0.5, 0.1)
