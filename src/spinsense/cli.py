@@ -14,12 +14,11 @@ a command with identical flags reproduces byte-identical CSV.  Every
 command writes a ``<out>.manifest.json`` recording parameters, seeds, the
 RNG algorithm, the produced files and solver diagnostics (for a sweep, the
 rows written, de-duplicated, failed and on the scan boundary; for a state
-optimization, per point the yield-rate solves, each Nelder-Mead start's
-evaluations and convergence flag, and whether the GHZ point won; for the
-oracle suite, the tuples drawn, the draws rejected and the SLD matrices per
-dimension).  The default
-output directory is ``$SPINSENSE_OUTDIR`` (falling back to the working
-directory).
+optimization, per point the rate rows solved, the nested-grid passes, each
+start's angles and the rate it ended on, and whether the GHZ point won; for
+the oracle suite, the tuples drawn, the draws rejected and the SLD matrices
+per dimension).  The default output directory is ``$SPINSENSE_OUTDIR``
+(falling back to the working directory).
 
 Units: the gyromagnetic ratio is fixed to 1, so the estimated parameter is
 the angular precession frequency, identical to the field magnitude.
@@ -231,7 +230,8 @@ def cmd_optimize_state(args: argparse.Namespace) -> int:
         solves.append({
             "tau_c": float(tc),
             "rate_evaluations": res.rate_evaluations,
-            "starts": [{"nfev": nfev, "success": ok} for nfev, ok in res.starts],
+            "passes": res.passes,
+            "starts": [{"theta": th, "phi": ph, "rate": r} for th, ph, r in res.starts],
             "ghz_won": res.ghz_won,
         })
     out = _resolve_out(args.out, "optimize_state.csv")

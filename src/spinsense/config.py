@@ -44,9 +44,9 @@ class YieldSearchConfig:
 
 @dataclass(frozen=True)
 class StateSearchConfig:
-    """Grid plus simplex settings for the spin-1 initial-state optimization."""
+    """Grid plus nested-grid settings for the spin-1 initial-state optimization."""
 
     grid_size: int = 64           # grid_size x grid_size over (Theta, Phi)
-    refine_starts: int = 5
-    xatol: float = 1e-6
+    refine_starts: int = 5        # best grid cells refined together
+    xatol: float = 1e-6           # refinement stops below this angle half-width
     chunk_rows: int = 1024        # grid rows evaluated per vectorized slab

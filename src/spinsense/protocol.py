@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+# unused here, but perfbench/tracer.py wraps the name protocol.minimize
 from scipy.optimize import minimize
 
 from . import config
@@ -45,6 +46,11 @@ from .spin_ops import SpinQuantumNumber
 # shrinking every bracket 32-fold, so five passes take the ~0.1 relative
 # width of a scan bracket below 1e-8.
 _REFINE_POINTS = 63
+
+# Angle grid points per axis in each pass of the spin-1 state search: the
+# spacing of a 5 x 5 grid is half its half-width, so recentering on the best
+# point and halving the half-width shrinks the box by (k - 1)/2 = 2 per pass.
+_STATE_GRID_POINTS = 5
 
 
 class YieldMethod(enum.Enum):
@@ -111,11 +117,13 @@ class StateOptResult:
     r_max: float
     r_ghz: float
     fidelity_with_ghz: float
-    # solver diagnostics: yield-rate solves made, (nfev, success) of each
-    # Nelder-Mead start, and whether no start beat the GHZ point
+    # solver diagnostics: rate rows solved (1 at the GHZ point plus
+    # passes x starts x 25), the nested-grid passes, (theta, phi) of each start
+    # with the rate it ended on, and whether no start beat the GHZ point
     rate_evaluations: int = 0
-    starts: tuple[tuple[int, bool], ...] = ()
+    starts: tuple[tuple[float, float, float], ...] = ()
     ghz_won: bool = False
+    passes: int = 0
 
 
 def _scan_taus(t2_vals, search: config.YieldSearchConfig) -> np.ndarray:
@@ -363,6 +371,63 @@ def sweep(
     )
 
 
+def _grid_max_2d(objective, x, y, half_width: float, bounds: tuple[float, float], xatol: float):
+    """Maximize ``objective`` around every start (x_i, y_i) at once by nested grids.
+
+    ``objective`` maps two (starts, k*k) arrays of points to their values.
+    Each pass evaluates a k x k grid of the given half-width around every
+    start, clipped to ``bounds`` on both axes, recenters each start on its
+    best point and halves the half-width, while the half-width is at least
+    ``xatol`` (at least one pass).  NaN values never win, and the center is
+    always on the grid, so a start's value never falls.  Returns the final
+    points, their values and the passes made.
+    """
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    rows = np.arange(len(x))
+    offsets = np.linspace(-1.0, 1.0, _STATE_GRID_POINTS)
+    dx, dy = (a.ravel() for a in np.meshgrid(offsets, offsets, indexing="ij"))
+    passes = 1 + max(0, math.floor(math.log2(half_width / xatol)))
+    for n in range(passes):
+        h = half_width / 2**n
+        gx = np.clip(x[:, None] + h * dx, *bounds)
+        gy = np.clip(y[:, None] + h * dy, *bounds)
+        vals = np.asarray(objective(gx, gy), dtype=float)
+        j = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=1)
+        x, y, fx = gx[rows, j], gy[rows, j], vals[rows, j]
+    return x, y, fx, passes
+
+
+def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig):
+    """The spin-1 yield rate of many (theta, phi) states at one noise point.
+
+    Returns the tau scan grid (one row over [T2/100, 100 T2] of the spin-1
+    GHZ state), D = exp(-2 chi) on it, and a function that maps equal-shape
+    theta and phi arrays to the rate of each state, solved in one
+    ``_maximize_rate`` call.  Each state's polynomial coefficients in D are
+    built once and the scan reuses the cached D, so every rate equals
+    ``yield_rate`` on that state's curve and does not depend on the other
+    rows of the batch.  A rate that is not finite raises FloatingPointError.
+    """
+    tau_grid = _scan_taus([t2(SpinQuantumNumber(2), noise)], tau_search)
+    d_grid = np.exp(-2.0 * chi(noise, tau_grid))
+
+    def rates(theta, phi) -> np.ndarray:
+        p, q = _spin1_coefficients(np.reshape(theta, (-1, 1)), np.reshape(phi, (-1, 1)))
+        taus = np.broadcast_to(tau_grid, (np.size(theta), tau_grid.shape[1]))
+
+        def curve(t):
+            # the scan runs on taus itself, whose D is computed once
+            d = d_grid if t is taus else np.exp(-2.0 * _chi(noise.b, noise.tau_c, t))
+            return _spin1_from_coefficients(p, q, d, t)
+
+        tau_opt, r, _ = _maximize_rate(curve, taus, tau_search.rel_tol)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(tau_opt))):
+            raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite")
+        return r.reshape(np.shape(theta))
+
+    return tau_grid, d_grid, rates
+
+
 def optimize_initial_state_spin1(
     noise: OUNoise,
     *,
@@ -371,36 +436,20 @@ def optimize_initial_state_spin1(
 ) -> StateOptResult:
     """Best spin-1 initial state for the yield rate, against the GHZ baseline.
 
-    Scans a grid over the two amplitude angles (the relative phases do not
-    enter the QFI), refines the best grid points with a bounded simplex, and
-    reports the overlap of the winner with the GHZ-like state after zeroing
-    the phases of both.  The GHZ point itself is part of the candidate set,
-    so r_max can never fall below r_ghz.  Each rate is the yield rate of the
-    spin-1 curve, solved as ``yield_rate`` solves it; a rate that is not
-    finite raises FloatingPointError.
+    Ranks a grid over the two amplitude angles (the relative phases do not
+    enter the QFI) by the best rate on the tau scan, refines the best cells
+    together on nested 5 x 5 angle grids (one batched rate solve per pass,
+    from a half-width of one cell down to ``xatol``), and reports the
+    overlap of the winner with the GHZ-like state after zeroing the phases
+    of both.  The GHZ point itself is part of the candidate set, so r_max
+    can never fall below r_ghz.  Each rate is the yield rate of the spin-1
+    curve, solved as ``yield_rate`` solves it; a rate that is not finite
+    raises FloatingPointError.
     """
-    sq = SpinQuantumNumber(2)
-    tau_grid = _scan_taus([t2(sq, noise)], tau_search)  # the scan of every rate below
-    d_grid = np.exp(-2.0 * chi(noise, tau_grid))
-    evaluations = 0
-
-    def rate(theta: float, phi: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        p, q = _spin1_coefficients(theta, phi)  # fixed for the whole tau search
-
-        def curve(t):
-            # the scan runs on tau_grid itself, whose D is computed once
-            d = d_grid if t is tau_grid else np.exp(-2.0 * _chi(noise.b, noise.tau_c, t))
-            return _spin1_from_coefficients(p, q, d, t)
-
-        tau_opt, r, _ = _maximize_rate(curve, tau_grid, tau_search.rel_tol)
-        if not (np.isfinite(r[0]) and np.isfinite(tau_opt[0])):
-            raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite")
-        return float(r[0])
-
+    tau_grid, d_grid, rates = _spin1_rates(noise, tau_search)
     n = search.grid_size
-    angles = (np.arange(n) + 0.5) * (math.pi / 2) / n  # interior of (0, pi/2)
+    cell = (math.pi / 2) / n
+    angles = (np.arange(n) + 0.5) * cell  # interior of (0, pi/2)
     th, ph = np.meshgrid(angles, angles, indexing="ij")
     th, ph = th.ravel(), ph.ravel()
 
@@ -412,25 +461,23 @@ def optimize_initial_state_spin1(
         f = _spin1_from_coefficients(p, q, d_grid, tau_grid)
         coarse[k : k + step] = np.max(f / tau_grid, axis=1)
 
-    r_ghz = rate(math.pi / 4, math.pi / 2)
+    r_ghz = float(rates(np.array([math.pi / 4]), np.array([math.pi / 2]))[0])
+    idx = np.argsort(coarse)[::-1][: search.refine_starts]
+    x, y, fx, passes = _grid_max_2d(
+        rates, th[idx], ph[idx], cell, (1e-9, math.pi / 2), search.xatol
+    )
     best_theta, best_phi, best_rate = math.pi / 4, math.pi / 2, r_ghz
-    starts = []
-    for idx in np.argsort(coarse)[::-1][: search.refine_starts]:
-        res = minimize(
-            lambda x: -rate(x[0], x[1]),
-            [th[idx], ph[idx]],
-            method="Nelder-Mead",
-            bounds=[(1e-9, math.pi / 2), (1e-9, math.pi / 2)],
-            options={"xatol": search.xatol, "fatol": 1e-12},
-        )
-        starts.append((int(res.nfev), bool(res.success)))
-        if -res.fun > best_rate:
-            best_theta, best_phi, best_rate = float(res.x[0]), float(res.x[1]), float(-res.fun)
+    i = int(np.argmax(fx))
+    if fx[i] > best_rate:
+        best_theta, best_phi, best_rate = float(x[i]), float(y[i]), float(fx[i])
 
     fid = abs(math.cos(best_theta) + math.sin(best_theta) * math.sin(best_phi)) / math.sqrt(2.0)
     return StateOptResult(
         best_theta, best_phi, best_rate, r_ghz, fid,
-        rate_evaluations=evaluations, starts=tuple(starts), ghz_won=best_rate == r_ghz,
+        rate_evaluations=1 + passes * len(idx) * _STATE_GRID_POINTS**2,
+        starts=tuple(zip(th[idx].tolist(), ph[idx].tolist(), fx.tolist())),
+        ghz_won=best_rate == r_ghz,
+        passes=passes,
     )
 
 

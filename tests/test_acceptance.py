@@ -23,6 +23,7 @@ from spinsense import (
     sweep,
     yield_rate,
 )
+from spinsense.qfi import spin1_qfi_values
 from spinsense.validate import dd_suite, estimator_suite, mc_suite, oracle_suite
 
 
@@ -208,6 +209,47 @@ def test_criterion_8_spin1_state_optimization():
         f"quasi-static fidelity {qs.fidelity_with_ghz:.4f} (>0.99), gain "
         f"{qs.r_max / qs.r_ghz:.4f} (<1.01); Markovian gains "
         f"{np.array2string(ratios, precision=4)} (all >1, stable to 10%)",
+        started,
+    )
+    assert ok
+
+
+def _markovian_spin1_rate_scale(n: int = 81, levels: int = 3) -> float:
+    """max over (theta, phi, D) of (-ln D) D P(D) / (2 Q(D)), by dense grids.
+
+    With chi = b^2 tau_c tau the spin-1 rate is R b^2 tau_c = chi F(tau=1)
+    at chi = -ln(D)/2, so the optimum needs no tau search and no protocol
+    code.  Each level is an n^3 cell-centred grid; the next spans two cells
+    either side of the best point.
+    """
+    lo, hi = np.zeros(3), np.array([math.pi / 2, math.pi / 2, 1.0])
+    for _ in range(levels):
+        axes = [a + (b - a) * (np.arange(n) + 0.5) / n for a, b in zip(lo, hi)]
+        theta, phi, d = np.meshgrid(*axes, indexing="ij", sparse=True)
+        chi_value = -0.5 * np.log(d)
+        g = chi_value * spin1_qfi_values(theta, phi, chi_value, 1.0)
+        i = np.unravel_index(np.argmax(g), g.shape)
+        center = np.array([a[k] for a, k in zip(axes, i)])
+        width = 2 * (hi - lo) / n
+        lo = np.maximum(center - width, 0.0)
+        hi = np.minimum(center + width, [math.pi / 2, math.pi / 2, 1.0])
+    return float(g[i])
+
+
+def test_criterion_8_markovian_limit_independent():
+    """The Markovian spin-1 optimum against a dense grid that shares no code
+    with the optimizer: R b^2 tau_c does not depend on tau_c there."""
+    started = time.time()
+    scale = _markovian_spin1_rate_scale()
+    found = {tau_c: optimize_initial_state_spin1(OUNoise(1.0, tau_c)).r_max * tau_c
+             for tau_c in (1e-4, 1e-3)}
+    ok = all(abs(v / scale - 1) < 1e-4 for v in found.values())
+    report(
+        "criterion 8 (Markovian limit, independent grid)",
+        ok,
+        f"grid R b^2 tau_c {scale:.7f} (ratio to GHZ 1/(2e): {2 * math.e * scale:.5f}); "
+        + ", ".join(f"optimizer at tau_c={tc:g}: {v:.7f}" for tc, v in found.items())
+        + " (rel 1e-4)",
         started,
     )
     assert ok

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsense import (
     DDProfile,
@@ -27,7 +28,7 @@ from spinsense import (
     yield_rate,
     yield_rate_asymptotic,
 )
-from spinsense import protocol
+from spinsense import config, protocol
 from spinsense.protocol import _refine_max
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
@@ -313,26 +314,38 @@ class TestStateOptimization:
         assert r1.r_max / r1.r_ghz == pytest.approx(r2.r_max / r2.r_ghz, rel=0.02)
 
     @pytest.mark.parametrize("tau_c", [1e-3, 1.0, 100.0])  # Markovian, intermediate, quasi-static
-    def test_internal_rate_equals_yield_rate(self, monkeypatch, tau_c):
-        # capture the simplex objective instead of running the simplex
-        objectives = []
-
-        def capture(fun, x0, **kwargs):
-            objectives.append(fun)
-            return OptimizeResult(x=np.asarray(x0), fun=fun(x0), nfev=1, success=True)
-
-        monkeypatch.setattr(protocol, "minimize", capture)
+    def test_internal_rate_equals_yield_rate(self, tau_c):
         noise = OUNoise(1.0, tau_c)
-        result = optimize_initial_state_spin1(noise)
+        pairs = np.array([(np.pi / 4, np.pi / 2), (0.3, 1.2), (1.1, 0.4), (0.02, 1.5),
+                          (1.5, 0.05), (0.9, 0.7)])
+        _, _, rates = protocol._spin1_rates(noise, config.YieldSearchConfig())
+        batched = rates(pairs[:, 0], pairs[:, 1])
         sq = SpinQuantumNumber(2)
-        for theta, phi in [(np.pi / 4, np.pi / 2), (0.3, 1.2), (1.1, 0.4), (0.02, 1.5),
-                           (1.5, 0.05), (0.9, 0.7)]:
+        for (theta, phi), got in zip(pairs, batched):
             curve = lambda t: spin1_qfi_values(theta, phi, chi(noise, t), t)
-            expected = yield_rate(sq, noise, curve).rate
-            assert -objectives[0](np.array([theta, phi])) == pytest.approx(expected, rel=1e-12)
-        # the GHZ point plus the one evaluation each stubbed start made
-        assert result.rate_evaluations == 1 + len(objectives)
-        assert result.starts == ((1, True),) * len(objectives)
+            assert got == pytest.approx(yield_rate(sq, noise, curve).rate, rel=1e-12)
+
+    def test_batched_rate_does_not_depend_on_the_batch(self):
+        # a row solved alone equals the same row inside a starts x 5 x 5 batch
+        noise = OUNoise(1.0, 1e-3)
+        _, _, rates = protocol._spin1_rates(noise, config.YieldSearchConfig())
+        rng = np.random.default_rng(7)
+        theta, phi = rng.uniform(1e-9, np.pi / 2, size=(2, 5, 25))
+        batch = rates(theta, phi)
+        assert batch.shape == (5, 25)
+        for i, j in [(0, 0), (2, 12), (4, 24)]:
+            alone = rates(theta[i, j : j + 1], phi[i, j : j + 1])
+            assert alone[0] == batch[i, j]
+
+    def test_result_diagnostics(self):
+        search = config.StateSearchConfig()
+        result = optimize_initial_state_spin1(OUNoise(1.0, 1e-3), search=search)
+        # from one coarse cell down to xatol: (pi/2)/64 / 2**14 >= 1e-6 > (pi/2)/64 / 2**15
+        assert result.passes == 15
+        assert result.rate_evaluations == 1 + result.passes * search.refine_starts * 25
+        assert len(result.starts) == search.refine_starts
+        assert max(r for _, _, r in result.starts) == result.r_max
+        assert not result.ghz_won
 
     def test_phase_angles_do_not_enter_objective(self):
         # the optimizer's objective is built from the phase-free closed form;
@@ -372,3 +385,65 @@ class TestQuasiStaticExponentChain:
         assert s_fit.slope == pytest.approx(1.0, abs=0.05)
         assert b_fit.slope == pytest.approx(-1.0, abs=0.05)
         assert tc_fit.slope == pytest.approx(0.0, abs=0.05)
+
+
+# a smooth concave objective, separable so that on every grid the best point
+# of each axis is the one nearest the maximum
+def _concave(x_star, y_star, a, c):
+    def objective(x, y):
+        return -a * (x - x_star) ** 2 - c * (y - y_star) ** 2 - (x - x_star) ** 4
+    return objective
+
+
+_CELL = (np.pi / 2) / 64
+_BOUNDS = (1e-9, np.pi / 2)
+
+
+class TestGridMax2d:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x_star=st.floats(0.1, 1.4),
+        y_star=st.floats(0.1, 1.4),
+        a=st.floats(0.1, 100.0),
+        c=st.floats(0.1, 100.0),
+        dx=st.floats(-1.0, 1.0),
+        dy=st.floats(-1.0, 1.0),
+    )
+    def test_interior_maximum(self, x_star, y_star, a, c, dx, dy):
+        # starts within one coarse cell of the maximum, as a ranked grid cell is
+        xatol = 1e-6
+        x, y, fx, passes = protocol._grid_max_2d(
+            _concave(x_star, y_star, a, c), [x_star + dx * _CELL], [y_star + dy * _CELL],
+            _CELL, _BOUNDS, xatol,
+        )
+        assert abs(x[0] - x_star) <= xatol and abs(y[0] - y_star) <= xatol
+        assert passes == 15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        x_star=st.floats(0.1, 1.4),
+        beyond=st.floats(0.0, 1.0),
+        a=st.floats(0.1, 100.0),
+        c=st.floats(0.1, 100.0),
+        dx=st.floats(-1.0, 1.0),
+        dy=st.floats(-1.0, 0.0),
+    )
+    def test_maximum_on_the_phi_bound(self, x_star, beyond, a, c, dx, dy):
+        # the unconstrained maximum lies at or past phi = pi/2, so the
+        # constrained one sits on the bound
+        objective = _concave(x_star, np.pi / 2 + beyond, a, c)
+        x, y, _, _ = protocol._grid_max_2d(
+            objective, [x_star + dx * _CELL, x_star + dx * _CELL],
+            [np.pi / 2 + dy * _CELL, np.pi / 2], _CELL, _BOUNDS, 1e-6,
+        )
+        assert np.all(np.abs(x - x_star) <= 1e-6)
+        assert np.all(np.abs(y - np.pi / 2) <= 1e-6)
+        assert y[1] == np.pi / 2  # a start on the bound stays exactly on it
+        assert np.all(y <= np.pi / 2)
+
+    def test_nan_never_wins(self):
+        def objective(x, y):
+            return np.where(x > 0.5, np.nan, -((x - 0.4) ** 2) - (y - 0.4) ** 2)
+
+        x, y, fx, _ = protocol._grid_max_2d(objective, [0.45], [0.4], 0.1, _BOUNDS, 1e-6)
+        assert np.isfinite(fx[0]) and abs(x[0] - 0.4) <= 1e-6 and abs(y[0] - 0.4) <= 1e-6
