@@ -21,8 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-# unused here, but perfbench/tracer.py wraps the name protocol.minimize
-from scipy.optimize import minimize
 
 from . import config
 from .ou_noise import (
@@ -501,3 +499,14 @@ def dd_scaling(
         lambda t: _ghz_values(k, dd_chi(noise, profile, t), t),
         _dd_t2_rows(two_s, noise, profile), search,
     )
+
+
+def __getattr__(name: str):
+    """Import and bind ``minimize`` on first lookup, for the benchmark tracer."""
+    # ROADMAP item 1 deletes this hook once the tracer reads the program's own counters
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()[name] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
