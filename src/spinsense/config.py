@@ -21,9 +21,10 @@ DD_SHAPE_CONSTANT = 2.0
 # Modes with eigenvalue-pair sums below this are dropped from the SLD sum.
 SLD_EIGENVALUE_CUTOFF = 1e-12
 
-# Monte Carlo path sampling: paths are generated in fixed-size blocks, each
-# block seeded as (seed, block_index), so path i never depends on how many
-# paths or workers were requested.
+# Random draws in fixed-size blocks, each block seeded as (seed, block_index),
+# so draw i never depends on how many were requested or how blocks are
+# scheduled: Monte Carlo paths (mc_coherence, sample_ou_paths) and the
+# estimator's binomial counts (simulate_and_estimate) share the block size.
 MC_BLOCK_SIZE = 4096
 MC_MIN_PATHS = 100
 # Time step must resolve the noise memory: dt <= tau_c / MC_DT_RESOLUTION.
@@ -49,4 +50,7 @@ class StateSearchConfig:
     grid_size: int = 64           # grid_size x grid_size over (Theta, Phi)
     refine_starts: int = 5        # best grid cells refined together
     xatol: float = 1e-6           # refinement stops below this angle half-width
-    chunk_rows: int = 1024        # grid rows evaluated per vectorized slab
+    # grid rows evaluated per vectorized slab; a slab's temporaries are rows x
+    # 200 tau points (0.4 MB at 256), small against the process, so the peak
+    # memory of a search does not hinge on how the allocator reuses them
+    chunk_rows: int = 256

@@ -16,55 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .ou_noise import OUNoise, chi
-from .spin_ops import SpinQuantumNumber, ghz_like_state
+from .spin_ops import SpinQuantumNumber
 
 # local-estimation window: the prior phase must sit on the monotone branch
 _PHASE_LO = math.pi / 4
 _PHASE_HI = 3 * math.pi / 4
-
-
-@dataclass(frozen=True)
-class BinaryMeasurement:
-    """Projection onto (|S> + |-S>)/sqrt(2) and its orthogonal partner.
-
-    working_point is the prior frequency estimate omega_0 around which the
-    estimator linearizes; the default quadrature choice puts the signal
-    phase 2 S omega_0 tau at pi/2, where the measurement extracts the full
-    quantum Fisher information.
-    """
-
-    s: SpinQuantumNumber
-    noise: OUNoise
-    tau: float
-    working_point: float
-
-    @classmethod
-    def at_quadrature(cls, s: SpinQuantumNumber, noise: OUNoise, tau: float) -> "BinaryMeasurement":
-        return cls(s, noise, tau, math.pi / (2.0 * s.two_s * tau))
-
-    def visibility(self) -> float:
-        return math.exp(-self.s.two_s**2 * chi(self.noise, self.tau))
-
-    def phase(self, omega: float) -> float:
-        return self.s.two_s * omega * self.tau
-
-    def probabilities(self, omega: float) -> tuple[float, float]:
-        return outcome_probability(self.s, self.noise, self.tau, omega)
-
-    def povm(self) -> list[np.ndarray]:
-        """The two projectors plus the complement of their span.
-
-        The complement has zero probability for any GHZ-protocol state and
-        is carried so the elements always resolve the identity.
-        """
-        dim = self.s.dimension
-        plus = ghz_like_state(self.s).amplitudes
-        minus = plus.copy()
-        minus[-1] *= -1.0
-        p_plus = np.outer(plus, plus.conj())
-        p_minus = np.outer(minus, minus.conj())
-        return [p_plus, p_minus, np.eye(dim) - p_plus - p_minus]
 
 
 @dataclass(frozen=True)
@@ -88,14 +46,18 @@ class EstimationRun:
             raise ValueError("nu must be >= 1")
 
 
+def _visibility(s: SpinQuantumNumber, noise: OUNoise, tau: float) -> float:
+    """Fringe visibility V = exp(-(2S)^2 chi(tau)) of the binary measurement."""
+    return math.exp(-s.two_s**2 * chi(noise, tau))
+
+
 def outcome_probability(
     s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: float
 ) -> tuple[float, float]:
     """Outcome distribution (P+, P-); sums to one exactly."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    v = math.exp(-s.two_s**2 * chi(noise, tau))
-    p_plus = 0.5 * (1.0 + v * math.cos(s.two_s * omega * tau))
+    p_plus = 0.5 * (1.0 + _visibility(s, noise, tau) * math.cos(s.two_s * omega * tau))
     return p_plus, 1.0 - p_plus
 
 
@@ -106,13 +68,34 @@ def classical_fisher(s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: fl
     theta = 2 S omega tau; equals the quantum Fisher information at
     theta = pi/2.
     """
-    v = math.exp(-s.two_s**2 * chi(noise, tau))
+    v = _visibility(s, noise, tau)
     theta = s.two_s * omega * tau
     vc = v * math.cos(theta)
     denom = 1.0 - vc * vc
     if denom <= 0:
         raise ValueError("degenerate outcome distribution: P is 0 or 1")
     return (s.two_s * tau) ** 2 * v**2 * math.sin(theta) ** 2 / denom
+
+
+def _check_count(name: str, value) -> None:
+    # bool is an int subclass; a float, even 500.0, is refused: binomial truncates
+    # a non-integral nu while the count fraction and the bound would use it as given
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _binomial_counts(nu: int, p: float, seed: int, repetitions: int) -> np.ndarray:
+    """Binomial(nu, p) counts of each repetition, drawn in blocks of
+    ``config.MC_BLOCK_SIZE``: block j is one ``binomial`` call on a generator
+    seeded (seed, j), so a repetition's count does not depend on how many
+    repetitions are requested."""
+    block = config.MC_BLOCK_SIZE
+    return np.concatenate([
+        np.random.default_rng([seed, j]).binomial(nu, p, size=min(block, repetitions - lo))
+        for j, lo in enumerate(range(0, repetitions, block))
+    ])
 
 
 def simulate_and_estimate(
@@ -129,15 +112,16 @@ def simulate_and_estimate(
 
     The estimator solves (2 k/nu - 1) = V cos(2 S omega tau) for omega on
     the monotone branch theta in (0, pi); a fraction outside (-V, V) has no
-    interior solution and flags the repetition.  Repetition r draws from a
-    generator seeded as (seed, r), so results do not depend on how
-    repetitions are scheduled.  With nu = 1 every repetition is flagged and
-    the aggregate statistics are NaN.
+    interior solution and flags the repetition.  The counts k are drawn in
+    blocks of ``config.MC_BLOCK_SIZE`` repetitions, block j from a generator
+    seeded as (seed, j), the scheme of ``mc_coherence``: results do not
+    depend on how blocks are scheduled, and a run's counts are a prefix of
+    any longer run's.  nu and repetitions must be integers >= 1 (a bool or
+    a float is refused).  With nu = 1 every repetition is flagged and the
+    aggregate statistics are NaN.
     """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_count("nu", nu)
+    _check_count("repetitions", repetitions)
     theta_true = s.two_s * omega_true * tau
     if not (_PHASE_LO <= theta_true <= _PHASE_HI):
         raise ValueError(
@@ -145,11 +129,9 @@ def simulate_and_estimate(
             f"[{_PHASE_LO:.4f}, {_PHASE_HI:.4f}]; choose tau or omega so the "
             "phase sits near quadrature"
         )
-    v = math.exp(-s.two_s**2 * chi(noise, tau))
+    v = _visibility(s, noise, tau)
     p_true, _ = outcome_probability(s, noise, tau, omega_true)
-    counts = np.array(
-        [np.random.default_rng([seed, r]).binomial(nu, p_true) for r in range(repetitions)]
-    )
+    counts = _binomial_counts(nu, p_true, seed, repetitions)
     arg = (2.0 * counts / nu - 1.0) / v
     valid = np.abs(arg) < 1.0
     estimates = np.arccos(arg[valid]) / (s.two_s * tau)

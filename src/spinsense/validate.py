@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import config
 from .estimation import classical_fisher, simulate_and_estimate
-from .ou_noise import DDProfile, OUNoise, chi, classify, mc_coherence
+from .ou_noise import DDProfile, OUNoise, _chi, chi, classify, mc_coherence
 from .protocol import dd_scaling, yield_rate
 from .qfi import _ghz_values, _sld_sum, qfi_noisy_ghz, spin1_qfi_values
 from .spin_ops import SpinQuantumNumber, _delta_m, _dephase_stack, _spin1_amplitudes, ghz_like_state
@@ -101,6 +102,15 @@ def _worst_rel(generic: np.ndarray, closed: np.ndarray) -> float:
     return float(np.max(np.abs(generic - closed) / np.maximum(generic, closed), initial=0.0))
 
 
+# oracle draws: 2S from _ORACLE_TWO_S, (b, tau_c, tau) log-uniform and
+# (omega, theta, phi, lambda1, lambda2) uniform over these ranges
+_ORACLE_TWO_S = (1, 2, 3, 4, 8)
+_LOG_LO = np.log([0.05, 0.01, 0.05])
+_LOG_SPAN = np.log([2.0, 10.0, 2.0]) - _LOG_LO
+_UNIFORM_LO = np.array([-2.0, 0.1, 0.1, 0.0, 0.0])
+_UNIFORM_SPAN = np.array([2.0, math.pi / 2 - 0.1, math.pi / 2 - 0.1, 2 * math.pi, 2 * math.pi]) - _UNIFORM_LO
+
+
 def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     """Worst relative disagreements of the two closed forms vs the SLD route,
     and the worst absolute spread of the spin-1 QFI over the state phases.
@@ -109,25 +119,27 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     so a seed fixes them; the SLD route then builds, checks and diagonalizes
     the density matrices in stacks (GHZ states grouped by dimension, spin-1
     states at d = 3), sharing no code with the closed forms.
+
+    The draws are those of ``rng.choice`` and ``rng.uniform`` calls, made
+    cheaper: ``choice`` over five values is ``integers(5)`` and an index,
+    and ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` with one double
+    per value, so ``integers(5)`` and ``random(k)`` consume the generator
+    exactly as those calls did and give the same values.  The exponentials
+    stay numpy's ``exp`` (and ``chi`` numpy's ``expm1``): ``math.exp`` and
+    ``math.expm1`` round differently on a few percent of these draws and
+    would change the tuples.
     """
     rng = np.random.default_rng(seed)
     rows, rejected = [], 0
     for _ in range(n_tuples):
         while True:  # draw (S, noise, tau) keeping the decoherence exponent moderate
-            two_s = int(rng.choice([1, 2, 3, 4, 8]))
-            b = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
-            tau_c = float(np.exp(rng.uniform(np.log(0.01), np.log(10.0))))
-            tau = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
-            chi_val = float(chi(OUNoise(b, tau_c), tau))
+            two_s = _ORACLE_TWO_S[rng.integers(5)]
+            b, tau_c, tau = np.exp(_LOG_LO + _LOG_SPAN * rng.random(3))
+            chi_val = float(_chi(b, tau_c, tau))  # b, tau_c > 0 and finite by construction
             if two_s**2 * chi_val <= 3.0:
                 break
             rejected += 1
-        omega = float(rng.uniform(-2.0, 2.0))
-        theta = float(rng.uniform(0.1, math.pi / 2 - 0.1))
-        phi = float(rng.uniform(0.1, math.pi / 2 - 0.1))
-        lambda1 = float(rng.uniform(0.0, 2 * math.pi))
-        lambda2 = float(rng.uniform(0.0, 2 * math.pi))
-        rows.append((two_s, tau, chi_val, omega, theta, phi, lambda1, lambda2))
+        rows.append((two_s, tau, chi_val, *(_UNIFORM_LO + _UNIFORM_SPAN * rng.random(5))))
     two_s, tau, chi_val, omega, theta, phi, l1, l2 = np.array(rows).reshape(-1, 8).T
 
     counts: dict[str, int] = {}
@@ -172,6 +184,9 @@ def estimator_suite(seed: int) -> list[CheckResult]:
     qfi = qfi_noisy_ghz(s, noise, tau).value
     # 4000 repetitions scatter std/CRB by ~1.1%, well inside the 5% bound
     run = simulate_and_estimate(s, noise, tau, omega, nu=10_000, seed=seed, repetitions=4000)
+    _DIAGNOSTICS.get({}).update(
+        repetitions=run.repetitions, rng_blocks=-(-run.repetitions // config.MC_BLOCK_SIZE),
+        flagged=run.n_flagged)
     return [
         _check("estimator cfi/qfi at quadrature", cfi / qfi, 1.0, 1e-12),
         _check("estimator sample std / crb", run.sample_std / run.crb, 1.0, 0.05),

@@ -276,6 +276,14 @@ class TestValidateCommand:
         capsys.readouterr()
         assert json.load(open(tmp_path / "dd.manifest.json"))["diagnostics"] == {}
 
+    def test_estimator_manifest_diagnostics(self, tmp_path, capsys):
+        out = str(tmp_path / "estimator.json")
+        assert run(["validate", "--suite", "estimator", "--out", out]) == 0
+        capsys.readouterr()
+        diag = json.load(open(tmp_path / "estimator.manifest.json"))["diagnostics"]
+        # 4000 repetitions fit one block of config.MC_BLOCK_SIZE, so one generator
+        assert diag == {"repetitions": 4000, "rng_blocks": 1, "flagged": 0}
+
     def test_unknown_suite_exit_2(self, capsys):
         assert run(["validate", "--suite", "bogus"]) == 2
         capsys.readouterr()

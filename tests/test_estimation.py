@@ -6,17 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsense import (
-    BinaryMeasurement,
     OUNoise,
     SpinQuantumNumber,
     chi,
     classical_fisher,
+    dephase,
     ghz_like_state,
     outcome_probability,
     qfi_noisy_ghz,
     simulate_and_estimate,
     yield_rate,
 )
+from spinsense.config import MC_BLOCK_SIZE
+from spinsense.estimation import _binomial_counts
+from spinsense.validate import estimator_suite
 
 
 def finite_difference_cfi(s, noise, tau, omega, h=1e-6):
@@ -51,6 +54,21 @@ class TestOutcomeProbability:
         v = math.exp(-64 * chi(noise, tau))
         assert p_plus == pytest.approx(0.5 * (1 + 0.5 * v), rel=1e-12)
         assert p_plus == pytest.approx(0.62089, abs=1e-4)
+
+    def test_born_rule_with_ghz_projectors(self):
+        # trace(P+- rho) with the projectors onto (|S> +- |-S>)/sqrt(2) on the
+        # dephased protocol state; their complement carries no probability
+        s, noise, tau, omega = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.3, 0.9
+        plus = ghz_like_state(s).amplitudes
+        minus = plus.copy()
+        minus[-1] *= -1.0
+        proj_plus, proj_minus = np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
+        rho = dephase(ghz_like_state(s), omega, tau, chi(noise, tau)).entries
+        p_plus, p_minus = outcome_probability(s, noise, tau, omega)
+        assert np.trace(proj_plus @ rho).real == pytest.approx(p_plus, rel=1e-12)
+        assert np.trace(proj_minus @ rho).real == pytest.approx(p_minus, rel=1e-12)
+        rest = np.eye(s.dimension) - proj_plus - proj_minus
+        assert abs(np.trace(rest @ rho)) < 1e-14
 
     @given(
         two_s=st.integers(1, 16),
@@ -102,40 +120,6 @@ class TestClassicalFisher:
             assert classical_fisher(s, noise, tau, omega) <= qfi * (1 + 1e-12)
 
 
-class TestBinaryMeasurement:
-    def test_quadrature_working_point(self):
-        s, noise, tau = SpinQuantumNumber(8), OUNoise(1.0, 0.1), 0.2
-        meas = BinaryMeasurement.at_quadrature(s, noise, tau)
-        assert meas.phase(meas.working_point) == pytest.approx(math.pi / 2)
-        assert meas.visibility() == pytest.approx(math.exp(-64 * chi(noise, tau)))
-
-    def test_povm_resolves_identity(self):
-        s = SpinQuantumNumber(8)
-        meas = BinaryMeasurement.at_quadrature(s, OUNoise(1.0, 0.1), 0.2)
-        povm = meas.povm()
-        np.testing.assert_allclose(sum(povm), np.eye(s.dimension), atol=1e-14)
-
-    def test_complement_has_zero_probability_on_protocol_states(self):
-        from spinsense import dephase
-
-        s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.3
-        meas = BinaryMeasurement.at_quadrature(s, noise, tau)
-        rho = dephase(ghz_like_state(s), 0.7, tau, chi(noise, tau)).entries
-        rest = meas.povm()[2]
-        assert abs(np.trace(rest @ rho)) < 1e-14
-
-    def test_projector_probabilities_match_closed_form(self):
-        from spinsense import dephase
-
-        s, noise, tau, omega = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.3, 0.9
-        meas = BinaryMeasurement.at_quadrature(s, noise, tau)
-        rho = dephase(ghz_like_state(s), omega, tau, chi(noise, tau)).entries
-        p_plus, p_minus = meas.probabilities(omega)
-        povm = meas.povm()
-        assert np.trace(povm[0] @ rho).real == pytest.approx(p_plus, rel=1e-12)
-        assert np.trace(povm[1] @ rho).real == pytest.approx(p_minus, rel=1e-12)
-
-
 class TestSimulateAndEstimate:
     def test_near_noiseless_matches_projection_limit(self):
         # V ~ 1: sample std -> 1/(2 S tau sqrt(nu))
@@ -178,3 +162,53 @@ class TestSimulateAndEstimate:
         a = simulate_and_estimate(s, noise, tau, omega, nu=500, seed=11, repetitions=60)
         b = simulate_and_estimate(s, noise, tau, omega, nu=500, seed=11, repetitions=60)
         assert a == b
+
+    @pytest.mark.parametrize("bad", [{"nu": 500.7}, {"nu": 500.0}, {"nu": True},
+                                     {"repetitions": True}, {"repetitions": 60.0},
+                                     {"nu": 0}, {"repetitions": 0}])
+    def test_rejects_non_integer_counts(self, bad):
+        s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.15
+        omega = (math.pi / 2) / (s.two_s * tau)
+        kwargs = {"nu": 500, "repetitions": 60, **bad}
+        with pytest.raises(ValueError, match="nu|repetitions"):
+            simulate_and_estimate(s, noise, tau, omega, seed=11, **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.15
+        omega = (math.pi / 2) / (s.two_s * tau)
+        a = simulate_and_estimate(s, noise, tau, omega, nu=np.int64(500), seed=11,
+                                  repetitions=np.int32(60))
+        assert a == simulate_and_estimate(s, noise, tau, omega, nu=500, seed=11, repetitions=60)
+
+
+class TestBlockSeededCounts:
+    def test_counts_match_per_block_generators(self):
+        # 5000 repetitions span two blocks; block j is one binomial call on (seed, j)
+        nu, p, seed, reps = 500, 0.37, 11, 5000
+        reference = np.concatenate([
+            np.random.default_rng([seed, 0]).binomial(nu, p, size=MC_BLOCK_SIZE),
+            np.random.default_rng([seed, 1]).binomial(nu, p, size=reps - MC_BLOCK_SIZE),
+        ])
+        counts = _binomial_counts(nu, p, seed, reps)
+        np.testing.assert_array_equal(counts, reference)
+        np.testing.assert_array_equal(_binomial_counts(nu, p, seed, 60), reference[:60])
+
+    def test_run_is_the_estimate_of_the_block_counts(self):
+        s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.15
+        omega = (math.pi / 2) / (s.two_s * tau)
+        run = simulate_and_estimate(s, noise, tau, omega, nu=500, seed=11, repetitions=5000)
+        p_plus, _ = outcome_probability(s, noise, tau, omega)
+        counts = _binomial_counts(500, p_plus, 11, 5000)
+        v = math.exp(-s.two_s**2 * chi(noise, tau))
+        arg = (2.0 * counts / 500 - 1.0) / v
+        estimates = np.arccos(arg[np.abs(arg) < 1.0]) / (s.two_s * tau)
+        assert run.n_flagged == 5000 - len(estimates)
+        assert run.omega_hat == float(estimates.mean())
+        assert run.sample_std == float(estimates.std(ddof=1))
+
+
+class TestEstimatorSuite:
+    def test_passes_at_every_seed_0_to_199(self):
+        # 4000 repetitions scatter std/CRB by ~1.1% against the 5% tolerance
+        failing = [seed for seed in range(200) if not all(c.passed for c in estimator_suite(seed))]
+        assert failing == []

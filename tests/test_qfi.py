@@ -427,6 +427,24 @@ class TestOracleEquivalence:
         assert contextvars.copy_context().run(stacked) == tuple(expected)
         assert diagnostics["tuples"] == 200 and diagnostics["draws_rejected"] == rejected
 
+    @pytest.mark.parametrize("seed, expected, rejected, matrices", [
+        (0, (2.0573279377939964e-15, 4.312438621817205e-15, 7.216449660063518e-16), 63,
+         {"2": 223, "3": 1252, "4": 196, "5": 192, "9": 172}),
+        (123, (1.8794084293973124e-15, 5.30579379809479e-15, 7.216449660063518e-16), 45,
+         {"2": 200, "3": 1249, "4": 205, "5": 235, "9": 146}),
+    ])
+    def test_draw_sequence_pinned(self, seed, expected, rejected, matrices):
+        # the 1000-tuple suite as drawn with rng.choice and rng.uniform: the
+        # integers/random draws must reproduce the same tuples bit for bit
+        diagnostics = {}
+
+        def stacked():
+            validate._DIAGNOSTICS.set(diagnostics)
+            return oracle_checks(seed, 1000)
+
+        assert contextvars.copy_context().run(stacked) == expected
+        assert diagnostics == {"tuples": 1000, "draws_rejected": rejected, "sld_matrices": matrices}
+
     def test_closed_forms_vs_sld_random_tuples(self):
         worst_ghz, worst_spin1, phase_spread = oracle_checks(seed=777, n_tuples=300)
         assert worst_ghz < 1e-8
