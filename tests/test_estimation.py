@@ -32,6 +32,14 @@ def finite_difference_cfi(s, noise, tau, omega, h=1e-6):
     return dpp**2 / pp + dpm**2 / pm
 
 
+def ghz_parity_projectors(s):
+    """Projectors onto (|S> +- |-S>)/sqrt(2), the two outcomes of the parity readout."""
+    plus = ghz_like_state(s).amplitudes
+    minus = plus.copy()
+    minus[-1] *= -1.0
+    return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
+
+
 class TestOutcomeProbability:
     def test_full_visibility_zero_phase(self):
         s, noise = SpinQuantumNumber(1), OUNoise(1e-12, 0.1)  # chi ~ 0
@@ -54,21 +62,6 @@ class TestOutcomeProbability:
         v = math.exp(-64 * chi(noise, tau))
         assert p_plus == pytest.approx(0.5 * (1 + 0.5 * v), rel=1e-12)
         assert p_plus == pytest.approx(0.62089, abs=1e-4)
-
-    def test_born_rule_with_ghz_projectors(self):
-        # trace(P+- rho) with the projectors onto (|S> +- |-S>)/sqrt(2) on the
-        # dephased protocol state; their complement carries no probability
-        s, noise, tau, omega = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.3, 0.9
-        plus = ghz_like_state(s).amplitudes
-        minus = plus.copy()
-        minus[-1] *= -1.0
-        proj_plus, proj_minus = np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
-        rho = dephase(ghz_like_state(s), omega, tau, chi(noise, tau)).entries
-        p_plus, p_minus = outcome_probability(s, noise, tau, omega)
-        assert np.trace(proj_plus @ rho).real == pytest.approx(p_plus, rel=1e-12)
-        assert np.trace(proj_minus @ rho).real == pytest.approx(p_minus, rel=1e-12)
-        rest = np.eye(s.dimension) - proj_plus - proj_minus
-        assert abs(np.trace(rest @ rho)) < 1e-14
 
     @given(
         two_s=st.integers(1, 16),
@@ -118,6 +111,23 @@ class TestClassicalFisher:
         for frac in np.linspace(0.02, 0.98, 45):
             omega = (math.pi * frac) / (s.two_s * tau)
             assert classical_fisher(s, noise, tau, omega) <= qfi * (1 + 1e-12)
+
+
+class TestBinaryMeasurement:
+    def test_complement_has_zero_probability_on_protocol_states(self):
+        s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.3
+        proj_plus, proj_minus = ghz_parity_projectors(s)
+        rho = dephase(ghz_like_state(s), 0.7, tau, chi(noise, tau)).entries
+        rest = np.eye(s.dimension) - proj_plus - proj_minus
+        assert abs(np.trace(rest @ rho)) < 1e-14
+
+    def test_projector_probabilities_match_closed_form(self):
+        s, noise, tau, omega = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.3, 0.9
+        proj_plus, proj_minus = ghz_parity_projectors(s)
+        rho = dephase(ghz_like_state(s), omega, tau, chi(noise, tau)).entries
+        p_plus, p_minus = outcome_probability(s, noise, tau, omega)
+        assert np.trace(proj_plus @ rho).real == pytest.approx(p_plus, rel=1e-12)
+        assert np.trace(proj_minus @ rho).real == pytest.approx(p_minus, rel=1e-12)
 
 
 class TestSimulateAndEstimate:
