@@ -13,12 +13,12 @@ All numeric output uses 17 significant digits and '.' decimals; re-running
 a command with identical flags reproduces byte-identical CSV.  Every
 command writes a ``<out>.manifest.json`` recording parameters, seeds, the
 RNG algorithm, the produced files and solver diagnostics (for a sweep, the
-rows written, de-duplicated, failed and on the scan boundary; for a state
-optimization, per point the rate rows solved, the nested-grid passes, each
-start's angles and the rate it ended on, and whether the GHZ point won; for
-the oracle suite, the tuples drawn, the draws rejected and the SLD matrices
-per dimension).  The default output directory is ``$SPINSENSE_OUTDIR``
-(falling back to the working directory).
+rows written, de-duplicated and failed; for a state optimization, per point
+the rate rows solved, the nested-grid passes, each start's angles and the
+rate it ended on, whether the GHZ point won, and the rate rows whose tau
+scan bracketed no root; for the oracle suite, the tuples drawn, the draws
+rejected and the SLD matrices per dimension).  The default output directory
+is ``$SPINSENSE_OUTDIR`` (falling back to the working directory).
 
 Units: the gyromagnetic ratio is fixed to 1, so the estimated parameter is
 the angular precession frequency, identical to the field magnitude.
@@ -157,22 +157,16 @@ def cmd_qfi_curve(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.time()
     param = args.param.replace("-", "_")
-    fixed = {}
-    if param != "s":
-        fixed["s"] = args.s[0] if args.s else None
-        if fixed["s"] is None:
-            print("sweep: --s is required when it is not the swept parameter", file=sys.stderr)
-            return EXIT_USAGE
-    if param != "b":
-        if args.b is None:
-            print("sweep: --b is required when it is not the swept parameter", file=sys.stderr)
-            return EXIT_USAGE
-        fixed["b"] = args.b
-    if param != "tau_c":
-        if args.tau_c is None:
-            print("sweep: --tau-c is required when it is not the swept parameter", file=sys.stderr)
-            return EXIT_USAGE
-        fixed["tau_c"] = args.tau_c
+    if args.s is not None and len(args.s) > 1:
+        raise ValueError(f"--s given {len(args.s)} times; a sweep takes one fixed spin")
+    given = {"s": args.s[0] if args.s else None, "b": args.b, "tau_c": args.tau_c}
+    if given[param] is not None:
+        raise ValueError(f"--{args.param} is the swept parameter; set its range with --min/--max")
+    _require_ordered(args.min, args.max, "--min", "--max")
+    fixed = {name: value for name, value in given.items() if name != param}
+    for name, value in fixed.items():
+        if value is None:
+            raise ValueError(f"--{name.replace('_', '-')} is required when it is not swept")
     grid = np.logspace(math.log10(args.min), math.log10(args.max), args.points)
     table = sweep(param, grid, **fixed)
     header = ["param", "rate", "tau_opt", "markov_param", "regime", "status"]
@@ -208,7 +202,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "rows": len(table),
         "deduplicated": args.points - len(table),
         "failed": status.count("failed"),
-        "boundary": status.count("boundary"),
     }
     _write_manifest(out, "sweep", params, None, started, [out, summary_path], diagnostics)
     return EXIT_OK
@@ -233,6 +226,7 @@ def cmd_optimize_state(args: argparse.Namespace) -> int:
             "passes": res.passes,
             "starts": [{"theta": th, "phi": ph, "rate": r} for th, ph, r in res.starts],
             "ghz_won": res.ghz_won,
+            "unbracketed": res.unbracketed,
         })
     out = _resolve_out(args.out, "optimize_state.csv")
     _write_csv(out, header, rows)

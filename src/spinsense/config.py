@@ -35,12 +35,12 @@ RNG_ALGORITHM = "PCG64 (numpy default_rng, block-partitioned seeds)"
 
 @dataclass(frozen=True)
 class YieldSearchConfig:
-    """Search window and tolerances for the evolution-time optimization."""
+    """Log-spaced tau scan of the spin-1 yield rate, whose best point and two
+    neighbours bracket the root refinement.  GHZ optima need no scan."""
 
     tau_lo_factor: float = 0.01   # scan starts at tau = T2 * tau_lo_factor
     tau_hi_factor: float = 100.0
     grid_points: int = 200
-    rel_tol: float = 1e-8         # relative bracket width in tau that ends refinement
 
 
 @dataclass(frozen=True)

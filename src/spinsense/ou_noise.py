@@ -10,7 +10,9 @@ half-variance of the accumulated random phase,
 which crosses over from b^2 tau^2 / 2 (tau << tau_c) to b^2 tau_c tau
 (tau >> tau_c).  The dimensionless product 2*S*b*tau_c decides whether the
 extremal coherence of a spin-S probe dies in the Gaussian (quasi-static) or
-the exponential (Markovian) branch.
+the exponential (Markovian) branch.  T2 and the yield optima are roots in
+log t, solved by one bracketed Illinois solver on log chi and its slope,
+which each coherence law (free or pulsed) gives in closed form.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from . import config
 from .spin_ops import SpinQuantumNumber
 
 _CHI_SERIES_BELOW = 1e-4  # below this x, evaluate x + e^-x - 1 by series
-_T2_RTOL = 1e-12  # relative bracket width at which the T2 solve stops
-_T2_STEP = 0.4 * _T2_RTOL  # smallest step of the T2 solve, in log t
+# below this x, log chi takes x + e^-x - 1 from a six-term series: at 1e-4 the
+# difference x + expm1(-x) has lost 12 digits, at 0.03 only 2
+_LOG_CHI_SERIES_BELOW = 0.03
+_ROOT_TOL = 1e-12  # bracket width in log t at which a root solve stops
+_ROOT_STEP = 0.4 * _ROOT_TOL  # smallest step of a root solve, in log t
 _LN2 = math.log(2.0)  # bracket moves halve or double t
 _MC_CHUNK_ROWS = 256  # paths drawn and reduced per chunk of a Monte Carlo block
 
@@ -119,27 +124,111 @@ def chi_limit(noise: OUNoise, tau, regime: Literal["short", "long"]) -> float | 
     return float(out) if out.ndim == 0 else out
 
 
-def _unit_damping_times(chi_fn: Callable[[np.ndarray], np.ndarray], two_s, estimate) -> np.ndarray:
-    """Roots of (2S)^2 chi_fn(t) = 1, one per row, by a bracketed solve.
+@dataclass(frozen=True)
+class _Law:
+    """A coherence law on rows: ``log_chi`` maps u = log t (one per row) to
+    log chi and the slope d log chi / d log t, with no intermediate product
+    that leaves the float range where log chi is in it.  chi runs from
+    b^2 tau_c^2 x^n / c at x = t/tau_c << 1 to b^2 tau_c t at x >> 1."""
 
-    ``two_s`` and ``estimate`` are arrays of rows; ``chi_fn`` maps an array
-    of one time per row to that row's chi.  The solve runs on
-    h = log((2S)^2 chi) against log t, close to a straight line of slope 1
-    to n.  Each bracket starts at [estimate/2, 5 estimate/2] and is moved by
-    halving or doubling until it holds the root, then shrinks by Illinois
-    (regula falsi) steps.  A row stops once its bracket is at most
-    ``_T2_RTOL`` wide relative to t, so its root does not depend on the other
-    rows.  Rows whose damping is not finite wherever the bracket goes (an
-    overflowing chi, an underflowing noise) get NaN.
+    log_chi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    log_b: np.ndarray
+    log_tau_c: np.ndarray
+    n: float = 2.0
+    c: float = 2.0
+
+
+def _free_law(b, tau_c) -> _Law:
+    """Free evolution, chi = b^2 tau_c^2 core(x); b and tau_c broadcast against u."""
+    log_b, log_tau_c = np.log(b), np.log(tau_c)
+
+    def log_chi(u):
+        lx = u - log_tau_c
+        x = np.exp(lx)  # inf where t/tau_c overflows; then log core(x) = log x
+        small = x < _LOG_CHI_SERIES_BELOW
+        safe, xs = np.where(small, 1.0, x), np.where(small, x, 0.0)
+        rise = -np.expm1(-safe)  # 1 - e^-x
+        # core(x)/x^2 = sum_k (-x)^k/(k+2)!, cut where its next term is below 4e-14
+        head = 0.5 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs * (1 / 720 - xs / 5040))))
+        log_core = np.where(small, 2.0 * lx + np.log(head),
+                            np.where(x < np.inf, np.log(safe - rise), lx))
+        # slope x (1 - e^-x) / core(x), which is 1/head - x on the series
+        slope = np.where(small, 1.0 / head - xs, rise / (1.0 - rise / safe))
+        return 2.0 * (log_b + log_tau_c) + log_core, slope
+
+    return _Law(log_chi, log_b, log_tau_c)
+
+
+def _dd_law(noise: OUNoise, profile: DDProfile) -> _Law:
+    """``dd_chi`` in log form: n log x - log(c + x^(n-1)) plus 2 log(b tau_c)."""
+    n, log_c = profile.n, math.log(profile.shape_c)
+    log_b, log_tau_c = math.log(noise.b), math.log(noise.tau_c)
+
+    def log_chi(u):
+        lx = u - log_tau_c
+        log_den = np.logaddexp(log_c, (n - 1.0) * lx)
+        # slope n - (n - 1) x^(n-1) / (c + x^(n-1))
+        return (2.0 * (log_b + log_tau_c) + n * lx - log_den,
+                n - (n - 1.0) * np.exp((n - 1.0) * lx - log_den))
+
+    return _Law(log_chi, log_b, log_tau_c, n, profile.shape_c)
+
+
+def _illinois(h, a, z, h_a, h_z) -> np.ndarray:
+    """Shrink every bracket [a_i, z_i] with h(a_i) <= 0 <= h(z_i) onto a root of h.
+
+    ``h`` maps an array of one point per row to that row's value.  Each step
+    is an Illinois (regula falsi) step; a row stops once its bracket is at
+    most ``_ROOT_TOL`` wide, so its root does not depend on the other rows.
+    Returns the bracket midpoints; rows not bracketed (or with h(z) not
+    finite) get NaN.
     """
-    k2 = np.asarray(two_s, dtype=float) ** 2
+    with np.errstate(all="ignore"):
+        # h_a may be -inf, which the first step's midpoint fallback handles
+        ok = (h_a <= 0) & (h_z >= 0) & np.isfinite(h_z)
+        moved = np.zeros(np.shape(a))  # -1 if a moved last, +1 if z did
+        active = ok & (z - a > _ROOT_TOL)
+        while np.any(active):
+            u = (a * h_z - z * h_a) / (h_z - h_a)
+            # a step at least a fraction of the tolerance inside the bracket,
+            # so an end that already sits on the root ends the solve
+            u = np.clip(np.where(np.isfinite(u), u, 0.5 * (a + z)), a + _ROOT_STEP, z - _ROOT_STEP)
+            h_u = h(u)
+            up = h_u >= 0
+            # Illinois: when the same end moves twice running, halve the
+            # value kept at the other end so the next step crosses the root
+            h_a_next = np.where(up, np.where(moved > 0, 0.5 * h_a, h_a), h_u)
+            h_z_next = np.where(up, h_u, np.where(moved < 0, 0.5 * h_z, h_z))
+            a = np.where(active & (h_u <= 0), u, a)
+            z = np.where(active & up, u, z)
+            h_a, h_z = np.where(active, h_a_next, h_a), np.where(active, h_z_next, h_z)
+            moved = np.where(active, np.where(up, 1.0, -1.0), moved)
+            active &= z - a > _ROOT_TOL
+    return np.where(ok, 0.5 * (a + z), np.nan)
 
-    def h(u):  # log of the damping exponent (2S)^2 chi at t = e^u; zero at the root
-        return np.log(k2 * chi_fn(np.exp(u)))
 
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        est = np.asarray(estimate, dtype=float)
-        a, z = np.log(0.5 * est), np.log(2.5 * est)
+def _law_roots(law: _Law, log_a, with_slope: bool) -> np.ndarray:
+    """Per row, the u = log t where log_a + log chi (+ log slope) crosses zero.
+
+    Without the slope the root solves A chi(t) = 1; with it, A t chi'(t) = 1.
+    Both increase in u (for ``DDProfile`` the second only up to n = 3 + 2 sqrt 2).
+    Each bracket starts at [1/2, 5/2] times the larger of the two limits'
+    roots and is moved by halving or doubling t until it holds the root,
+    then ``_illinois`` shrinks it.  Rows never bracketed get NaN.
+    """
+    p = 1.0 if with_slope else 0.0
+
+    def h(u):
+        log_chi, slope = law.log_chi(u)
+        return log_a + log_chi + p * np.log(slope)
+
+    with np.errstate(all="ignore"):
+        # the roots of the short-time (slope n) and long-time (slope 1) limits
+        log_short = 2.0 * (law.log_b + law.log_tau_c) - math.log(law.c) + p * math.log(law.n)
+        u_short = law.log_tau_c - (log_a + log_short) / law.n
+        u_long = -(log_a + 2.0 * law.log_b + law.log_tau_c)
+        u0 = np.maximum(u_short, u_long)
+        a, z = u0 + math.log(0.5), u0 + math.log(2.5)
         h_a, h_z = h(a), h(z)
         move = (h_a > 0) & np.isfinite(h_a)
         while np.any(move):  # root below a: the old a bounds it from above
@@ -153,75 +242,28 @@ def _unit_damping_times(chi_fn: Callable[[np.ndarray], np.ndarray], two_s, estim
             z = np.where(move, z + _LN2, z)
             h_z = np.where(move, h(z), h_z)
             move &= h_z < 0
-        # h_a may be -inf (chi underflows at the lower end); h_z must be finite
-        ok = (h_a <= 0) & (h_z >= 0) & np.isfinite(h_z)
-
-        moved = np.zeros(a.shape)  # -1 if a moved last, +1 if z did
-        active = ok & (z - a > _T2_RTOL)
-        while np.any(active):
-            u = (a * h_z - z * h_a) / (h_z - h_a)
-            # a step at least a fraction of the tolerance inside the bracket,
-            # so an end that already sits on the root ends the solve
-            u = np.clip(np.where(np.isfinite(u), u, 0.5 * (a + z)), a + _T2_STEP, z - _T2_STEP)
-            h_u = h(u)
-            up = h_u >= 0
-            # Illinois: when the same end moves twice running, halve the
-            # value kept at the other end so the next step crosses the root
-            h_a_next = np.where(up, np.where(moved > 0, 0.5 * h_a, h_a), h_u)
-            h_z_next = np.where(up, h_u, np.where(moved < 0, 0.5 * h_z, h_z))
-            a = np.where(active & (h_u <= 0), u, a)
-            z = np.where(active & up, u, z)
-            h_a, h_z = np.where(active, h_a_next, h_a), np.where(active, h_z_next, h_z)
-            moved = np.where(active, np.where(up, 1.0, -1.0), moved)
-            active &= z - a > _T2_RTOL
-    return np.where(ok, np.exp(0.5 * (a + z)), np.nan)
+        return _illinois(h, a, z, h_a, h_z)
 
 
-def _free_t2_rows(two_s, b, tau_c) -> np.ndarray:
-    """Free-evolution T2 for rows of (2S, b, tau_c); NaN where chi over- or underflows."""
-    b, tau_c = np.asarray(b, dtype=float), np.asarray(tau_c, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        k = np.asarray(two_s, dtype=float) * b
-        estimate = np.maximum(math.sqrt(2.0) / k, 1.0 / (k**2 * tau_c))
-    return _unit_damping_times(lambda t: _chi(b, tau_c, t), two_s, estimate)
-
-
-def _dd_t2_rows(two_s, noise: OUNoise, profile: DDProfile) -> np.ndarray:
-    """Pulsed-control T2 for rows of 2S; NaN where chi over- or underflows.
-
-    ``dd_chi`` squares b as a Python float, so a b^2 beyond the float range
-    raises OverflowError instead.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        k = np.asarray(two_s, dtype=float) * noise.b
-        t_short = noise.tau_c * (profile.shape_c / (k * noise.tau_c) ** 2) ** (1.0 / profile.n)
-        estimate = np.maximum(t_short, 1.0 / (k**2 * noise.tau_c))
-    return _unit_damping_times(lambda t: dd_chi(noise, profile, t), two_s, estimate)
-
-
-def _one_root(roots: np.ndarray, what: str) -> float:
-    root = float(roots[0])
+def _t2(law: _Law, s: SpinQuantumNumber, what: str) -> float:
+    """T2 of one spin, the root of 2 log 2S + log chi = 0; FloatingPointError
+    where it is outside the float range."""
+    with np.errstate(over="ignore"):
+        root = float(np.exp(_law_roots(law, np.array([2.0 * math.log(s.two_s)]), False)[0]))
     if not math.isfinite(root):
-        raise FloatingPointError(f"{what} is not finite (chi over- or underflows)")
+        raise FloatingPointError(f"{what} is not finite (it over- or underflows)")
     return root
 
 
 def t2(s: SpinQuantumNumber, noise: OUNoise) -> float:
-    """Decoherence time: the extremal coherence decays to 1/e, (2S)^2 chi(T2) = 1.
-
-    The bracket is seeded from the two asymptotic roots 1/(sqrt(2) S b) and
-    1/((2Sb)^2 tau_c), which bound the exact root within a factor of 2.  This
-    is the one-row case of the batched solve; it raises FloatingPointError
-    where chi over- or underflows before the root is bracketed.
-    """
-    roots = _free_t2_rows(np.array([s.two_s]), noise.b, noise.tau_c)
-    return _one_root(roots, f"T2 at 2S={s.two_s}, b={noise.b!r}, tau_c={noise.tau_c!r}")
+    """Decoherence time: the extremal coherence decays to 1/e, (2S)^2 chi(T2) = 1."""
+    return _t2(_free_law(noise.b, noise.tau_c), s,
+               f"T2 at 2S={s.two_s}, b={noise.b!r}, tau_c={noise.tau_c!r}")
 
 
 def dd_t2(s: SpinQuantumNumber, noise: OUNoise, profile: DDProfile) -> float:
     """Decoherence time under pulsed control, (2S)^2 chi_dd(T2) = 1."""
-    roots = _dd_t2_rows(np.array([s.two_s]), noise, profile)
-    return _one_root(roots, f"pulsed-control T2 at 2S={s.two_s}, n={profile.n!r}")
+    return _t2(_dd_law(noise, profile), s, f"pulsed-control T2 at 2S={s.two_s}, n={profile.n!r}")
 
 
 def classify(s: SpinQuantumNumber, noise: OUNoise) -> NoiseRegime:

@@ -8,9 +8,11 @@ parameters with power-law exponent fits, optimizes the spin-1 initial
 state, and evaluates the same pipeline under pulsed-control coherence
 profiles.
 
-Every maximization runs through one batched solver: a log-grid scan of all
-rows at once, then nested uniform grids on every row's bracket together.
-A single ``yield_rate`` call is its one-row case.
+Every optimum over tau is a root in u = log tau, solved for all rows at
+once by the bracketed Illinois solver of ``ou_noise``: for the GHZ curve on
+the coherence law's log form, so nothing overflows where the answer is
+finite; for the spin-1 curve, which need not be unimodal, inside the
+bracket of a log-grid scan.  A ``yield_rate`` call is the one-row case.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,21 +31,23 @@ from .ou_noise import (
     OUNoise,
     RegimeKind,
     _chi,
-    _dd_t2_rows,
-    _free_t2_rows,
+    _dd_law,
+    _free_law,
+    _illinois,
+    _Law,
+    _law_roots,
     _regime_kind,
     chi,
     classify,
-    dd_chi,
     t2,
 )
-from .qfi import _ghz_values, _spin1_coefficients, _spin1_from_coefficients, ghz_qfi_values
+from .qfi import _spin1_coefficients, _spin1_from_coefficients, _spin1_log_slope
 from .spin_ops import SpinQuantumNumber
 
-# Interior points per refinement pass: each pass keeps two of the 64 cells,
-# shrinking every bracket 32-fold, so five passes take the ~0.1 relative
-# width of a scan bracket below 1e-8.
-_REFINE_POINTS = 63
+# Largest pulsed-control n for which log chi + log slope rises in log tau at
+# every shape constant, so its root is the one GHZ optimum:
+# 2k^2y^2 + (2k - k^2)y + 1 >= 0 on (0, 1), k = n - 1, holds to k = 2 + 2 sqrt 2.
+_DD_MAX_N = 3.0 + 2.0 * math.sqrt(2.0)
 
 # Angle grid points per axis in each pass of the spin-1 state search: the
 # spacing of a 5 x 5 grid is half its half-width, so recentering on the best
@@ -63,7 +67,6 @@ class YieldResult:
     tau_opt: float
     regime: NoiseRegime
     method: YieldMethod
-    on_boundary: bool = False
 
     def __post_init__(self):
         if self.rate < 0 or self.tau_opt <= 0:
@@ -91,7 +94,6 @@ class SweepTable:
     tau_opts: np.ndarray
     markov_params: np.ndarray
     regimes: tuple[RegimeKind, ...]
-    on_boundary: tuple[bool, ...]
     fits: dict[str, ExponentFit] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -100,12 +102,8 @@ class SweepTable:
     @property
     def status(self) -> tuple[str, ...]:
         """Per row: "failed" where no finite positive rate was found (its rate
-        and tau_opt are NaN), "boundary" where the scan's best point sits on a
-        grid edge, else "ok"."""
-        return tuple(
-            "failed" if not np.isfinite(rate) else "boundary" if edge else "ok"
-            for rate, edge in zip(self.rates, self.on_boundary)
-        )
+        and tau_opt are NaN), else "ok"."""
+        return tuple("ok" if np.isfinite(rate) else "failed" for rate in self.rates)
 
 
 @dataclass(frozen=True)
@@ -117,100 +115,42 @@ class StateOptResult:
     fidelity_with_ghz: float
     # solver diagnostics: rate rows solved (1 at the GHZ point plus
     # passes x starts x 25), the nested-grid passes, (theta, phi) of each start
-    # with the rate it ended on, and whether no start beat the GHZ point
+    # with the rate it ended on, whether no start beat the GHZ point, and the
+    # rate rows whose scan bracket held no root (they keep their scan point)
     rate_evaluations: int = 0
     starts: tuple[tuple[float, float, float], ...] = ()
     ghz_won: bool = False
     passes: int = 0
+    unbracketed: int = 0
 
 
-def _scan_taus(t2_vals, search: config.YieldSearchConfig) -> np.ndarray:
-    """Log scan grids over [T2 tau_lo_factor, T2 tau_hi_factor], one row per T2."""
-    t2_vals = np.asarray(t2_vals, dtype=float)
-    return np.logspace(
-        np.log10(t2_vals * search.tau_lo_factor),
-        np.log10(t2_vals * search.tau_hi_factor),
-        search.grid_points,
-        axis=-1,
-    )
+def _ghz_optima(law: _Law, two_s) -> tuple[np.ndarray, np.ndarray]:
+    """tau_opt and R = max_tau F/tau of the GHZ curve (2S tau)^2 exp(-2 (2S)^2 chi), per row.
 
-
-def _refine_max(objective: Callable[[np.ndarray], np.ndarray], lo, hi, rel_tol: float):
-    """Maximize a unimodal objective on every bracket [lo_i, hi_i] at once.
-
-    ``objective`` maps a (rows, k) array of points to their values.  Each
-    pass evaluates ``_REFINE_POINTS`` evenly spaced interior points of every
-    bracket and keeps the two cells around the best one; a row stops once
-    its bracket is at most ``rel_tol`` times its midpoint wide, so its result
-    does not depend on the other rows.  NaN values never win.  Returns the
-    best point of each row's last pass and its value.
+    d log(F/tau)/d log tau = 1 - 2 (2S)^2 chi slope, so tau_opt is the root
+    of log(2 (2S)^2) + log chi + log slope, which increases in log tau; the
+    rate is evaluated there as (2S)^2 tau exp(-2 (2S)^2 chi), with the
+    exponent taken from log chi.  Rows whose root or rate is outside the
+    float range come out NaN or inf.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    rows = np.arange(len(lo))
-    cells = np.arange(_REFINE_POINTS + 2) / (_REFINE_POINTS + 1)
-    x, fx = np.full(len(lo), np.nan), np.full(len(lo), np.nan)
-    active = np.ones(len(lo), dtype=bool)
-    while np.any(active):
-        grid = lo[:, None] + (hi - lo)[:, None] * cells
-        vals = np.asarray(objective(grid[:, 1:-1]), dtype=float)
-        j = np.argmax(np.where(np.isnan(vals), -np.inf, vals), axis=1)
-        x = np.where(active, grid[rows, j + 1], x)
-        fx = np.where(active, vals[rows, j], fx)
-        lo = np.where(active, grid[rows, j], lo)
-        hi = np.where(active, grid[rows, j + 2], hi)
-        active &= hi - lo > rel_tol * 0.5 * (lo + hi)
-    return x, fx
-
-
-def _maximize_rate(curve, taus: np.ndarray, rel_tol: float):
-    """Per row of the scan grids ``taus``, the maximum of curve(tau)/tau.
-
-    The curve maps a (rows, k) array of times to QFI values.  Each row's
-    scan argmax and its two neighbours bracket the refinement.  Rows that
-    over- or underflow come out non-finite, without a warning.  Returns
-    tau_opt, the rate there, and whether the scan argmax sat on a grid edge.
-    """
-    def objective(t):
-        return np.asarray(curve(t), dtype=float) / t
-
-    rows, n = np.arange(len(taus)), taus.shape[1]
+    two_s = np.asarray(two_s, dtype=float)
+    log_a = math.log(2.0) + 2.0 * np.log(two_s)
+    u = _law_roots(law, log_a, with_slope=True)
     with np.errstate(all="ignore"):
-        scan = objective(taus)
-        i = np.argmax(np.where(np.isnan(scan), -np.inf, scan), axis=1)
-        lo = taus[rows, np.maximum(i - 1, 0)]
-        hi = taus[rows, np.minimum(i + 1, n - 1)]
-        tau_opt, rate = _refine_max(objective, lo, hi, rel_tol)
-    return tau_opt, rate, (i == 0) | (i == n - 1)
+        tau = np.exp(u)
+        return tau, two_s**2 * tau * np.exp(-np.exp(log_a + law.log_chi(u)[0]))
 
 
-def yield_rate(
-    s: SpinQuantumNumber,
-    noise: OUNoise,
-    qfi_curve: Callable[[np.ndarray], np.ndarray] | None = None,
-    *,
-    t2_time: float | None = None,
-    search: config.YieldSearchConfig = config.YieldSearchConfig(),
-) -> YieldResult:
-    """Maximize F(tau)/tau over tau by log-grid scan plus nested-grid refinement.
+def yield_rate(s: SpinQuantumNumber, noise: OUNoise) -> YieldResult:
+    """Maximize the GHZ curve's F(tau)/tau over tau by one root solve in log tau.
 
-    The scan covers [T2 * tau_lo_factor, T2 * tau_hi_factor]; the curve is
-    the GHZ closed form unless a custom one is supplied (it must accept
-    arrays of tau).  A maximum sitting on a scan edge is flagged rather than
-    treated as an error; a rate that is not finite raises FloatingPointError.
-    This is the one-row case of the solver that ``sweep`` runs on all rows.
+    The one-row case of the solve that ``sweep`` runs on all rows; a rate
+    that is not finite raises FloatingPointError.
     """
-    if qfi_curve is None:
-        qfi_curve = lambda t: ghz_qfi_values(s, noise, t)
-    t2_val = t2(s, noise) if t2_time is None else t2_time
-    tau_opt, rate, on_boundary = _maximize_rate(
-        qfi_curve, _scan_taus([t2_val], search), search.rel_tol
-    )
+    tau_opt, rate = _ghz_optima(_free_law(noise.b, noise.tau_c), [s.two_s])
     if not (np.isfinite(rate[0]) and np.isfinite(tau_opt[0])):
         raise FloatingPointError(f"yield rate at 2S={s.two_s}, {noise!r} is not finite")
-    return YieldResult(
-        float(rate[0]), float(tau_opt[0]), classify(s, noise), YieldMethod.NUMERIC,
-        bool(on_boundary[0]),
-    )
+    return YieldResult(float(rate[0]), float(tau_opt[0]), classify(s, noise), YieldMethod.NUMERIC)
 
 
 def yield_rate_asymptotic(s: SpinQuantumNumber, noise: OUNoise, regime: RegimeKind) -> YieldResult:
@@ -234,10 +174,13 @@ def yield_rate_asymptotic(s: SpinQuantumNumber, noise: OUNoise, regime: RegimeKi
 
 
 def _fit_window(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    # least squares on centred logs, in closed form: a line needs no LAPACK,
+    # whose first call costs a process 1.4 MB of resident memory
     logx, logy = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(logx, logy, 1)
-    resid = np.max(np.abs(logy - (slope * logx + intercept)))
-    return float(slope), float(intercept), float(resid)
+    dx = logx - logx.mean()
+    slope = float(np.sum(dx * (logy - logy.mean())) / np.sum(dx * dx))
+    intercept = float(logy.mean() - slope * logx.mean())
+    return slope, intercept, float(np.max(np.abs(logy - (slope * logx + intercept))))
 
 
 def fit_loglog_exponent(table: SweepTable, window: tuple[int, int]) -> ExponentFit:
@@ -289,21 +232,14 @@ def _spin_rows(grid: np.ndarray) -> np.ndarray:
 
 
 def _solve_table(
-    param_name: str,
-    values: np.ndarray,
-    markov_params: np.ndarray,
-    curve,
-    t2_vals: np.ndarray,
-    search: config.YieldSearchConfig,
+    param_name: str, values: np.ndarray, markov_params: np.ndarray, two_s: np.ndarray, law: _Law,
 ) -> SweepTable:
     """Optimize every row of a sweep in one batched solve and fit its exponents.
 
-    A row without a finite positive rate (its T2 or its optimum over- or
-    underflowed) gets NaN rate and tau_opt and is left out of the fits.
+    A row without a finite positive rate (its optimum or its rate is outside
+    the float range) gets NaN rate and tau_opt and is left out of the fits.
     """
-    tau_opt, rate, on_boundary = _maximize_rate(
-        curve, _scan_taus(t2_vals, search), search.rel_tol
-    )
+    tau_opt, rate = _ghz_optima(law, two_s)
     ok = np.isfinite(rate) & np.isfinite(tau_opt) & (rate > 0)
     table = SweepTable(
         param_name=param_name,
@@ -312,7 +248,6 @@ def _solve_table(
         tau_opts=np.where(ok, tau_opt, np.nan),
         markov_params=markov_params,
         regimes=tuple(_regime_kind(p) for p in markov_params),
-        on_boundary=tuple(bool(v) for v in on_boundary & ok),
     )
     fits = {
         label: fit_loglog_exponent(table, window)
@@ -328,7 +263,6 @@ def sweep(
     s: float | None = None,
     b: float | None = None,
     tau_c: float | None = None,
-    search: config.YieldSearchConfig = config.YieldSearchConfig(),
 ) -> SweepTable:
     """Optimized yield rate along a log grid of one parameter.
 
@@ -360,13 +294,9 @@ def sweep(
     for name, col in (("b", b_rows), ("tau_c", tc_rows)):
         if not np.all((col > 0) & (col < math.inf)):
             raise ValueError(f"{name} must be positive and finite")
-
-    k, bb, tc = two_s[:, None], b_rows[:, None], tc_rows[:, None]
-    return _solve_table(
-        parameter, values, two_s * b_rows * tc_rows,
-        lambda t: _ghz_values(k, _chi(bb, tc, t), t),
-        _free_t2_rows(two_s, b_rows, tc_rows), search,
-    )
+    with np.errstate(over="ignore"):
+        markov_params = two_s * b_rows * tc_rows
+    return _solve_table(parameter, values, markov_params, two_s, _free_law(b_rows, tc_rows))
 
 
 def _grid_max_2d(objective, x, y, half_width: float, bounds: tuple[float, float], xatol: float):
@@ -399,31 +329,52 @@ def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig):
     """The spin-1 yield rate of many (theta, phi) states at one noise point.
 
     Returns the tau scan grid (one row over [T2/100, 100 T2] of the spin-1
-    GHZ state), D = exp(-2 chi) on it, and a function that maps equal-shape
-    theta and phi arrays to the rate of each state, solved in one
-    ``_maximize_rate`` call.  Each state's polynomial coefficients in D are
-    built once and the scan reuses the cached D, so every rate equals
-    ``yield_rate`` on that state's curve and does not depend on the other
-    rows of the batch.  A rate that is not finite raises FloatingPointError.
+    GHZ state), D = exp(-2 chi) on it, a function that maps equal-shape theta
+    and phi arrays to the rate of each state, and a list that receives, per
+    call, the number of rows whose scan bracket held no root.  The scan
+    reuses the cached D; its best point and two neighbours bracket the root
+    of d log(F/tau)/d log tau = 1 - 2 tau chi' (1 + D P'/P - D Q'/Q), solved
+    by ``_illinois``.  A row with no sign change keeps its scan point, no row
+    depends on the others, and a rate that is not finite raises
+    FloatingPointError.
     """
-    tau_grid = _scan_taus([t2(SpinQuantumNumber(2), noise)], tau_search)
-    d_grid = np.exp(-2.0 * chi(noise, tau_grid))
+    t2_val = np.array([t2(SpinQuantumNumber(2), noise)])
+    tau_grid = np.logspace(np.log10(t2_val * tau_search.tau_lo_factor),
+                           np.log10(t2_val * tau_search.tau_hi_factor),
+                           tau_search.grid_points, axis=-1)
+    with np.errstate(all="ignore"):
+        chi_grid = chi(noise, tau_grid)
+    if not np.all(np.isfinite(chi_grid)):
+        raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite (chi overflows)")
+    d_grid = np.exp(-2.0 * chi_grid)
+    log_grid, last = np.log(tau_grid[0]), tau_grid.shape[1] - 1
+    b, tau_c = noise.b, noise.tau_c
+    unbracketed: list[int] = []
 
-    def rates(theta, phi) -> np.ndarray:
-        p, q = _spin1_coefficients(np.reshape(theta, (-1, 1)), np.reshape(phi, (-1, 1)))
-        taus = np.broadcast_to(tau_grid, (np.size(theta), tau_grid.shape[1]))
+    def rates(theta, phi):
+        p, q = _spin1_coefficients(np.ravel(theta), np.ravel(phi))
+        scan = _spin1_from_coefficients(
+            [c[:, None] for c in p], [c[:, None] for c in q], d_grid, tau_grid) / tau_grid
+        i = np.argmax(np.where(np.isnan(scan), -np.inf, scan), axis=1)
 
-        def curve(t):
-            # the scan runs on taus itself, whose D is computed once
-            d = d_grid if t is taus else np.exp(-2.0 * _chi(noise.b, noise.tau_c, t))
-            return _spin1_from_coefficients(p, q, d, t)
+        def h(u):  # -d log(F/tau)/d log tau at tau = e^u, with tau chi' = b^2 tau_c tau (1 - e^-x)
+            t = np.exp(u)
+            d = np.exp(-2.0 * _chi(b, tau_c, t))
+            return 2.0 * b * b * tau_c * t * -np.expm1(-t / tau_c) * _spin1_log_slope(p, q, d) - 1.0
 
-        tau_opt, r, _ = _maximize_rate(curve, taus, tau_search.rel_tol)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(tau_opt))):
+        with np.errstate(all="ignore"):
+            a, z = log_grid[np.maximum(i - 1, 0)], log_grid[np.minimum(i + 1, last)]
+            u = _illinois(h, a, z, h(a), h(z))
+            t = np.exp(u)
+            root = _spin1_from_coefficients(p, q, np.exp(-2.0 * _chi(b, tau_c, t)), t) / t
+        bracketed = np.isfinite(u)
+        r = np.where(bracketed, root, scan[np.arange(len(i)), i])
+        if not np.all(np.isfinite(r)):
             raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite")
+        unbracketed.append(int(np.count_nonzero(~bracketed)))
         return r.reshape(np.shape(theta))
 
-    return tau_grid, d_grid, rates
+    return tau_grid, d_grid, rates, unbracketed
 
 
 def optimize_initial_state_spin1(
@@ -440,11 +391,11 @@ def optimize_initial_state_spin1(
     from a half-width of one cell down to ``xatol``), and reports the
     overlap of the winner with the GHZ-like state after zeroing the phases
     of both.  The GHZ point itself is part of the candidate set, so r_max
-    can never fall below r_ghz.  Each rate is the yield rate of the spin-1
-    curve, solved as ``yield_rate`` solves it; a rate that is not finite
+    can never fall below r_ghz.  Each rate is the maximum of the spin-1
+    curve's F/tau, solved by ``_spin1_rates``; a rate that is not finite
     raises FloatingPointError.
     """
-    tau_grid, d_grid, rates = _spin1_rates(noise, tau_search)
+    tau_grid, d_grid, rates, unbracketed = _spin1_rates(noise, tau_search)
     n = search.grid_size
     cell = (math.pi / 2) / n
     angles = (np.arange(n) + 0.5) * cell  # interior of (0, pi/2)
@@ -476,29 +427,24 @@ def optimize_initial_state_spin1(
         starts=tuple(zip(th[idx].tolist(), ph[idx].tolist(), fx.tolist())),
         ghz_won=best_rate == r_ghz,
         passes=passes,
+        unbracketed=sum(unbracketed),
     )
 
 
-def dd_scaling(
-    profile: DDProfile,
-    s_grid: Sequence[float],
-    noise: OUNoise,
-    *,
-    search: config.YieldSearchConfig = config.YieldSearchConfig(),
-) -> SweepTable:
+def dd_scaling(profile: DDProfile, s_grid: Sequence[float], noise: OUNoise) -> SweepTable:
     """Spin-size sweep of the yield rate with the pulsed-control coherence law.
 
     In the short-time branch the fitted exponent approaches 2 - 2/n; deep in
     the Markovian branch the control is ineffective and the rate is flat.
+    The optimum is unique only for n <= 3 + 2 sqrt 2; a larger n is rejected.
     """
-    g = _validated_grid(s_grid)
-    two_s = _spin_rows(g)
-    k = two_s[:, None]
-    return _solve_table(
-        "s", two_s / 2.0, two_s * noise.b * noise.tau_c,
-        lambda t: _ghz_values(k, dd_chi(noise, profile, t), t),
-        _dd_t2_rows(two_s, noise, profile), search,
-    )
+    if profile.n > _DD_MAX_N:
+        raise ValueError(
+            f"dd_scaling needs n <= 3 + 2 sqrt(2) = {_DD_MAX_N:.6f} for a unique optimum, "
+            f"got {profile.n!r}")
+    two_s = _spin_rows(_validated_grid(s_grid))
+    return _solve_table("s", two_s / 2.0, two_s * noise.b * noise.tau_c, two_s,
+                        _dd_law(noise, profile))
 
 
 def __getattr__(name: str):

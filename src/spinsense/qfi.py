@@ -126,6 +126,19 @@ def _spin1_from_coefficients(p, q, d, tau):
     return np.where(ok, tau * tau * d * num / np.where(ok, den, 1.0), 0.0)
 
 
+def _spin1_log_slope(p, q, d):
+    """d log(D p(D)/q(D)) / d log D = 1 + D p'/p - D q'/q, by Horner's rule."""
+    num, dnum = p[6], 0.0
+    for c in p[5::-1]:
+        dnum = dnum * d + num
+        num = num * d + c
+    den, dden = q[3], 0.0
+    for c in q[2::-1]:
+        dden = dden * d + den
+        den = den * d + c
+    return 1.0 + d * (dnum / num - dden / den)
+
+
 def spin1_qfi_values(theta, phi, chi_value, tau) -> np.ndarray:
     """Vectorized spin-1 QFI for the four-angle state family; broadcasts.
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestSweepCommand:
         for row in rows:
             assert float(row[1]) > 0 and float(row[2]) > 0
             assert row[4] in {"markovian", "intermediate", "quasi_static"}
-            assert row[5] in {"ok", "boundary"}
+            assert row[5] == "ok"
         summary = json.load(open(tmp_path / "s_sweep.summary.json"))
         assert summary["fits"]["markovian"]["slope"] == pytest.approx(0.0, abs=0.05)
 
@@ -135,17 +136,19 @@ class TestSweepCommand:
         manifest = json.load(open(tmp_path / "s64.manifest.json"))
         assert manifest["outputs"] == ["s64.csv", "s64.summary.json"]
         assert manifest["diagnostics"] == {
-            "points": 64, "rows": len(rows), "deduplicated": 64 - len(rows),
-            "failed": 0, "boundary": 0,
+            "points": 64, "rows": len(rows), "deduplicated": 64 - len(rows), "failed": 0,
         }
         assert len(rows) == 61  # 0.5, 0.62.. and 0.78.. all round to 2S = 1
 
     def test_numerical_failure_is_a_row_status(self, tmp_path, capsys):
-        # chi overflows at the top of this grid (b^2 > 1.8e308) and the
-        # optimum's QFI overflows at the bottom (tau_opt^2 > 1.8e308)
+        # the Markovian rate 1/(2e b^2 tau_c) leaves the float range at the
+        # bottom of this grid (b <= 4.6e-174); every other row is finite,
+        # although its b^2 or tau_opt^2 is not
         out = str(tmp_path / "wide_b.csv")
-        code = run(["sweep", "--param", "b", "--min", "1e-200", "--max", "1e200",
-                    "--points", "16", "--s", "0.5", "--tau-c", "1", "--out", out])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sweep", "--param", "b", "--min", "1e-200", "--max", "1e200",
+                        "--points", "16", "--s", "0.5", "--tau-c", "1", "--out", out])
         assert code == 0
         assert capsys.readouterr().err == ""
         header, rows = read_csv(out)
@@ -153,7 +156,7 @@ class TestSweepCommand:
         assert len(rows) == 16
         status = [r[5] for r in rows]
         failed = [i for i, st in enumerate(status) if st == "failed"]
-        assert failed and 0 in failed and 15 in failed
+        assert failed == [0, 1]
         assert all(st == "ok" for st in status if st != "failed")
         for i in failed:
             assert rows[i][1] == rows[i][2] == "nan"
@@ -162,13 +165,38 @@ class TestSweepCommand:
                 b = float(row[0])
                 want = math.sqrt(2 / math.e) * 0.5 / b if b > 1 else 1 / (2 * math.e * b**2)
                 assert float(row[1]) == pytest.approx(want, rel=1e-3)
-        fit = json.load(open(tmp_path / "wide_b.summary.json"))["fits"]["quasi_static"]
-        lo, hi = fit["window"]
-        assert not set(range(lo, hi)) & set(failed)
-        assert fit["slope"] == pytest.approx(-1.0, abs=1e-6)
+        fits = json.load(open(tmp_path / "wide_b.summary.json"))["fits"]
+        for fit in fits.values():
+            lo, hi = fit["window"]
+            assert not set(range(lo, hi)) & set(failed)
+        assert fits["quasi_static"]["slope"] == pytest.approx(-1.0, abs=1e-6)
+        assert fits["markovian"]["slope"] == pytest.approx(-2.0, abs=1e-6)
         diagnostics = json.load(open(tmp_path / "wide_b.manifest.json"))["diagnostics"]
         assert diagnostics["failed"] == len(failed)
         assert diagnostics["rows"] == 16 and diagnostics["deduplicated"] == 0
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [(["--param", "b", "--s", "0.5", "--s", "4", "--tau-c", "1"], "--s"),
+         (["--param", "b", "--s", "0.5", "--b", "7", "--tau-c", "1"], "--b"),
+         (["--param", "s", "--s", "2", "--b", "1", "--tau-c", "1"], "--s"),
+         (["--param", "tau-c", "--s", "0.5", "--b", "1", "--tau-c", "3"], "--tau-c")],
+    )
+    def test_dropped_flags_exit_2(self, tmp_path, capsys, flags, named):
+        # a second --s, or a fixed value for the swept parameter, would be ignored
+        out = str(tmp_path / "never.csv")
+        assert run(["sweep", "--min", "0.1", "--max", "1", "--points", "8", "--out", out] + flags) == 2
+        err = capsys.readouterr().err
+        assert named in err and len(err.strip().splitlines()) == 1
+        assert not os.listdir(tmp_path)
+
+    def test_min_above_max_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "never.csv")
+        assert run(["sweep", "--param", "b", "--min", "5", "--max", "1", "--points", "8",
+                    "--s", "0.5", "--tau-c", "1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--min (5.0) must not exceed --max (1.0)" in err
+        assert not os.listdir(tmp_path)
 
     def test_tau_c_sweep_roundtrip(self, tmp_path):
         out = str(tmp_path / "tc.csv")
@@ -214,6 +242,7 @@ class TestOptimizeStateCommand:
             # one row at the GHZ point plus a 5 x 5 angle grid per start and pass
             assert p["passes"] > 0
             assert p["rate_evaluations"] == 1 + p["passes"] * starts * 25
+            assert p["unbracketed"] == 0
         # the better state beats GHZ when the noise is Markovian, not when quasi-static
         assert [p["ghz_won"] for p in points] == [False, True]
 

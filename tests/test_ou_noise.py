@@ -21,7 +21,7 @@ from spinsense import (
     sample_ou_paths,
     t2,
 )
-from spinsense.ou_noise import _phase_weights
+from spinsense.ou_noise import _dd_law, _free_law, _law_roots, _phase_weights
 
 mp.mp.dps = 40
 
@@ -32,7 +32,9 @@ def t2_highprec(two_s, b, tau_c) -> float:
     k = two_s * b
     estimate = max(mp.sqrt(2) / k, 1 / (k**2 * tau_c))
     f = lambda t: k**2 * tau_c**2 * (t / tau_c + mp.expm1(-t / tau_c)) - 1
-    return float(mp.findroot(f, (estimate, 2 * estimate), solver="anderson"))
+    # x + expm1(-x) cancels 2 |log10 x| digits where x = t/tau_c is small
+    with mp.workdps(40 + 2 * max(0, int(-mp.log10(estimate / tau_c)))):
+        return float(mp.findroot(f, (estimate, 2 * estimate), solver="anderson"))
 
 
 def chi_highprec(b, tau_c, tau) -> float:
@@ -146,19 +148,21 @@ class TestT2:
         )
 
     def test_rows_solve_independently(self):
-        from spinsense.ou_noise import _free_t2_rows
-
         two_s = np.array([1.0, 4.0, 2e6, 1.0])
-        b = np.array([1.0, 0.3, 1.0, 1e200])  # the last row's chi overflows
+        b = np.array([1.0, 0.3, 1.0, 1e200])  # the last row's b^2 tau_c^2 overflows
         tau_c = np.array([1e-3, 5.0, 1e-3, 1.0])
-        roots = _free_t2_rows(two_s, b, tau_c)
-        for i in range(3):
+        roots = np.exp(_law_roots(_free_law(b, tau_c), 2 * np.log(two_s), with_slope=False))
+        for i in range(4):
             assert roots[i] == t2(SpinQuantumNumber(int(two_s[i])), OUNoise(b[i], tau_c[i]))
-        assert np.isnan(roots[3])
+        assert roots[3] == pytest.approx(t2_highprec(1, 1e200, 1.0), rel=1e-11)
 
     def test_overflow_raises_floating_point_error(self):
+        # chi's prefactor b^2 tau_c^2 overflows, but T2 = sqrt(2)/b does not
+        assert t2(SpinQuantumNumber(1), OUNoise(1e200, 1.0)) == pytest.approx(
+            t2_highprec(1, 1e200, 1.0), rel=1e-11)
+        # T2 = 1/(b^2 tau_c) = 1e400 itself overflows
         with pytest.raises(FloatingPointError):
-            t2(SpinQuantumNumber(1), OUNoise(1e200, 1.0))
+            t2(SpinQuantumNumber(1), OUNoise(1e-200, 1.0))
 
     def test_asymptotes_bracket_within_factor_two(self):
         for param in np.logspace(-4, 4, 40):
@@ -168,6 +172,44 @@ class TestT2:
             t_m = 1.0 / (noise.b**2 * noise.tau_c)
             assert max(t_qs, t_m) <= root * (1 + 1e-12)
             assert root <= 2.0 * max(t_qs, t_m)
+
+
+class TestLogLaws:
+    """log chi and d log chi / d log t on u = log t, against mpmath over the float range."""
+
+    @staticmethod
+    def _close(got, ref, *magnitudes):
+        # log chi is a sum of logs of the inputs: its rounding scales with theirs
+        return abs(got - float(ref)) <= 1e-15 * (sum(abs(float(m)) for m in magnitudes) + 1.0)
+
+    @pytest.mark.parametrize("b,tau_c", [(1.0, 1.0), (1e200, 1e-150), (1e-150, 1e150)])
+    def test_free_evolution(self, b, tau_c):
+        u = np.log(tau_c) + np.log(np.logspace(-300, 300, 61))
+        log_chi, slope = _free_law(b, tau_c).log_chi(u)
+        for v, got, got_slope in zip(u, log_chi, slope):
+            x = mp.exp(mp.mpf(v)) / tau_c
+            # x + expm1(-x) cancels 2 |log10 x| digits where x is small
+            with mp.workdps(40 + 2 * max(0, int(-mp.log10(x)))):
+                core = x + mp.expm1(-x)
+                ref = 2 * mp.log(mp.mpf(b) * tau_c) + mp.log(core)
+                ref_slope = x * -mp.expm1(-x) / core
+            assert self._close(got, ref, mp.log(b), mp.log(tau_c), v)
+            assert got_slope == pytest.approx(float(ref_slope), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1.0, 1.5, 3.0, 5.8])
+    def test_pulsed_control(self, n):
+        noise, profile = OUNoise(1e100, 1e-120), DDProfile(n)
+        u = np.log(noise.tau_c) + np.log(np.logspace(-200, 200, 41))
+        log_chi, slope = _dd_law(noise, profile).log_chi(u)
+        for v, got, got_slope in zip(u, log_chi, slope):
+            x = mp.exp(mp.mpf(v)) / noise.tau_c
+            w = x ** (n - 1)
+            ref = 2 * mp.log(mp.mpf(noise.b) * noise.tau_c) + n * mp.log(x) - mp.log(profile.shape_c + w)
+            assert self._close(got, ref, mp.log(noise.b), mp.log(noise.tau_c), n * v)
+            assert got_slope == pytest.approx(float(n - (n - 1) * w / (profile.shape_c + w)), rel=1e-14)
+        # and, where dd_chi stays in the float range, its linear value
+        t = np.exp(u[15:26])
+        np.testing.assert_allclose(np.exp(log_chi[15:26]), dd_chi(noise, profile, t), rtol=1e-12)
 
 
 class TestClassify:

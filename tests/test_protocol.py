@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from spinsense import (
     chi,
     dd_chi,
     dd_scaling,
-    dd_t2,
     fit_loglog_exponent,
     ghz_qfi_values,
     optimize_initial_state_spin1,
@@ -29,41 +29,82 @@ from spinsense import (
     yield_rate_asymptotic,
 )
 from spinsense import config, protocol
-from spinsense.protocol import _refine_max
+from spinsense.ou_noise import _dd_law, _free_law, _illinois, _Law, _law_roots
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
 
 
-class TestRefineMax:
-    def test_parabola(self):
-        # position accuracy near a smooth maximum is limited to ~sqrt(eps)
-        # by comparisons of nearly equal function values
-        x, fx = _refine_max(lambda t: -(t - 2.0) ** 2 + 5.0, [0.5], [4.0], 1e-10)
-        assert x[0] == pytest.approx(2.0, rel=1e-6)
-        assert fx[0] == pytest.approx(5.0)
+def _solve(h, a, z):
+    a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
+    return _illinois(h, a, z, h(a), h(z))
 
-    def test_several_brackets_in_one_call(self):
-        # row 0: parabola peaked at 2; row 1: increasing, so the maximum is
-        # the bracket's upper edge; row 2: flat
-        peak = np.array([2.0, 0.0, 0.0])[:, None]
-        slope = np.array([0.0, 1.0, 0.0])[:, None]
-        curv = np.array([1.0, 0.0, 0.0])[:, None]
-        objective = lambda t: 5.0 - curv * (t - peak) ** 2 + slope * t
-        lo, hi = [0.5, 1.0, 3.0], [4.0, 2.0, 7.0]
-        x, fx = _refine_max(objective, lo, hi, 1e-10)
-        assert x[0] == pytest.approx(2.0, rel=1e-6) and fx[0] == pytest.approx(5.0)
-        assert x[1] == pytest.approx(2.0, rel=1e-9) and fx[1] == pytest.approx(7.0, rel=1e-9)
-        assert 3.0 <= x[2] <= 7.0 and fx[2] == 5.0
+
+class TestIllinoisRoots:
+    def test_smooth_maximum(self):
+        # the maximum of 5 - (x - 2)^2 is the root of its negated derivative,
+        # found to the solver's bracket width, not to sqrt(eps) as by comparing values
+        x = _solve(lambda x: 2.0 * (x - 2.0), [0.5], [4.0])
+        assert x[0] == pytest.approx(2.0, abs=1e-12)
+
+    def test_several_rows_in_one_call(self):
+        # row 0: linear; row 1: cubic with a flat root; row 2: exponential;
+        # row 3: the root sits on the bracket's lower end
+        root = np.array([2.0, -1.0, 0.3, 1.0])
+
+        def rows(x):
+            return np.array([x[0] - 2.0, (x[1] + 1.0) ** 3, np.expm1(5.0 * (x[2] - 0.3)), x[3] - 1.0])
+
+        a, z = np.array([0.5, -3.0, -2.0, 1.0]), np.array([4.0, 0.5, 2.0, 3.0])
+        x = _solve(rows, a, z)
+        np.testing.assert_allclose(x, root, atol=1e-6)
+        assert abs(x[0] - 2.0) <= 1e-12 and abs(x[2] - 0.3) <= 1e-12 and abs(x[3] - 1.0) <= 1e-12
         # each row stops on its own bracket width, independent of the others
-        for i in range(3):
-            row = slice(i, i + 1)
-            xi, fi = _refine_max(lambda t: objective(t)[row], lo[row], hi[row], 1e-10)
-            assert (xi[0], fi[0]) == (x[i], fx[i])
+        fns = [lambda x: x - 2.0, lambda x: (x + 1.0) ** 3,
+               lambda x: np.expm1(5.0 * (x - 0.3)), lambda x: x - 1.0]
+        for i, fn in enumerate(fns):
+            assert _solve(fn, a[i : i + 1], z[i : i + 1])[0] == x[i]
 
-    def test_nan_never_wins(self):
-        objective = lambda t: np.where(t > 1.5, np.nan, -((t - 1.0) ** 2))
-        x, fx = _refine_max(objective, [0.0], [2.0], 1e-9)
-        assert x[0] == pytest.approx(1.0, abs=1e-6) and fx[0] == pytest.approx(0.0, abs=1e-12)
+    def test_non_finite_rows_return_nan(self):
+        # row 0 is bracketed; row 1's function is NaN; row 2 holds no sign
+        # change; row 3's upper end is infinite
+        def h(x):
+            return np.array([x[0] - 1.0, np.nan, x[2] + 5.0, np.inf if x[3] > 1 else x[3]])
+
+        x = _solve(h, [0.0, 0.0, 0.0, -1.0], [2.0, 2.0, 2.0, 2.0])
+        assert x[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isnan(x[1:]))
+
+    def test_bracket_moves_to_a_far_root(self):
+        # the seed from the law's limits sits at u = 0; the bracket follows
+        # the root 50 e-folds down or up instead of stopping at a window edge
+        for root in (-50.0, 50.0):
+            law = _Law(lambda u, r=root: (u - r, np.ones_like(u)), 0.0, 0.0, n=1.0, c=1.0)
+            u = _law_roots(law, np.zeros(1), with_slope=False)
+            assert u[0] == pytest.approx(root, abs=1e-12)
+
+
+class TestGhzStationarity:
+    """log chi + log slope, whose root is the GHZ optimum, increases in log t."""
+
+    U = np.linspace(-60.0, 60.0, 120_001)
+
+    @pytest.mark.parametrize("m", np.logspace(-6, 6, 13))
+    def test_free_evolution(self, m):
+        log_chi, slope = _free_law(1.0, m).log_chi(self.U)
+        assert np.all(np.diff(log_chi + np.log(slope)) > 0)
+
+    @pytest.mark.parametrize("n", [1.0, 2.0, 3.0, 4.0, 5.8])
+    @pytest.mark.parametrize("c", [0.1, 2.0, 50.0])
+    def test_pulsed_control(self, n, c):
+        log_chi, slope = _dd_law(OUNoise(1.0, 1.0), DDProfile(n, c)).log_chi(self.U)
+        assert np.all(np.diff(log_chi + np.log(slope)) > 0)
+
+    def test_pulsed_control_beyond_the_bound(self):
+        # at n = 6 the function turns over, so its root need not be the optimum
+        log_chi, slope = _dd_law(OUNoise(1.0, 1.0), DDProfile(6.0)).log_chi(self.U)
+        assert np.any(np.diff(log_chi + np.log(slope)) < 0)
+        with pytest.raises(ValueError, match="3 \\+ 2 sqrt"):
+            dd_scaling(DDProfile(6.0), np.logspace(0, 1, 8), OUNoise(1.0, 100.0))
 
 
 class TestYieldRate:
@@ -74,7 +115,6 @@ class TestYieldRate:
         assert result.rate == pytest.approx(SQRT_2_OVER_E * s.s / noise.b, rel=0.02)
         assert result.tau_opt == pytest.approx(1.0 / (math.sqrt(2.0) * s.two_s * noise.b), rel=0.02)
         assert result.regime.kind is RegimeKind.QUASI_STATIC
-        assert not result.on_boundary
 
     def test_markovian_asymptote(self):
         # memory parameter 0.01
@@ -114,12 +154,6 @@ class TestYieldRate:
             signs = np.sign(np.diff(g))
             changes = np.count_nonzero(np.diff(signs[signs != 0]))
             assert changes == 1  # rises once, falls once
-
-    def test_custom_curve_and_boundary_flag(self):
-        s, noise = SpinQuantumNumber(1), OUNoise(1.0, 1.0)
-        # a curve maximized far outside the scan window gets flagged
-        result = yield_rate(s, noise, lambda t: np.asarray(t) ** 0.5)
-        assert result.on_boundary
 
     def test_method_tag(self):
         assert yield_rate(SpinQuantumNumber(1), OUNoise(1.0, 1.0)).method is YieldMethod.NUMERIC
@@ -195,6 +229,18 @@ def _chi_closed_form(b, tau_c, tau):
     return b * b * tau_c * tau_c * np.where(x < 1e-3, series, x + np.expm1(-x))
 
 
+def _dense_grid_max(rate, lo, hi, levels=4, n=1001):
+    """max of rate(tau) over log tau in [lo, hi] on nested dense log grids,
+    each spanning the two cells around the last one's best point."""
+    for _ in range(levels):
+        u = np.linspace(lo, hi, n)
+        vals = rate(np.exp(u))
+        i = int(np.argmax(vals))
+        assert 0 < i < n - 1
+        lo, hi = u[i - 1], u[i + 1]
+    return float(vals[i])
+
+
 def _dense_grid_rate(two_s, b, tau_c, levels=4, n=1001):
     """max over tau of (2S tau)^2 exp(-2 (2S)^2 chi)/tau on nested dense log
     grids, rows at once, bracketed by the two asymptotic optima."""
@@ -244,22 +290,82 @@ class TestSweepAgainstDenseGrid:
             single = yield_rate(SpinQuantumNumber(int(two_s)), OUNoise(b, tau_c))
             assert (single.rate, single.tau_opt) == (rate, tau_opt)
 
-    def test_dd_rows_equal_yield_rate_exactly(self):
-        profile, noise = DDProfile(3), OUNoise(1.0, 100.0)
+    @pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0, 5.8])
+    @pytest.mark.parametrize("tau_c", [1e-4, 1.0, 100.0])
+    def test_dd_rows_match_dense_grid(self, n, tau_c):
+        profile, noise = DDProfile(n), OUNoise(1.0, tau_c)
         table = dd_scaling(profile, np.logspace(0, np.log10(64), 10), noise)
-        for s_val, rate in zip(table.values, table.rates):
-            sq = SpinQuantumNumber.from_s(s_val)
-            curve = lambda t: (sq.two_s * t) ** 2 * np.exp(
-                -2.0 * sq.two_s**2 * dd_chi(noise, profile, t))
-            single = yield_rate(sq, noise, curve, t2_time=dd_t2(sq, noise, profile))
-            assert single.rate == rate
+        assert table.status == ("ok",) * len(table)
+        for s_val, rate, tau_opt in zip(table.values, table.rates, table.tau_opts):
+            two_s = 2 * s_val
+            ref = _dense_grid_max(
+                lambda t: (two_s * t) ** 2 * np.exp(-2.0 * two_s**2 * dd_chi(noise, profile, t)) / t,
+                math.log(tau_opt / 1e4), math.log(tau_opt * 1e4))
+            assert rate == pytest.approx(ref, rel=1e-9)
 
     def test_failed_rows_left_out_of_fits(self):
-        table = sweep("tau_c", np.logspace(-300, 300, 16), s=0.5, b=1.0)
+        # the Markovian rate 1/(2e b^2 tau_c) overflows at tau_c = 1e-300
+        table = sweep("tau_c", np.logspace(-300, 300, 16), s=0.5, b=1e-5)
         failed = [i for i, st in enumerate(table.status) if st == "failed"]
-        assert failed and np.all(np.isnan(table.rates[failed]))
-        lo, hi = table.fits["quasi_static"].window
-        assert not set(range(lo, hi)) & set(failed)
+        assert failed == [0] and np.all(np.isnan(table.rates[failed]))
+        for fit in table.fits.values():
+            assert not set(range(*fit.window)) & set(failed)
+
+
+def _ghz_optimum_highprec(two_s, b, tau_c):
+    """tau_opt and rate of the GHZ curve at 40 digits, from the mpmath closed
+    form: the root of 2 (2S)^2 tau chi'(tau) = 1 in log tau."""
+    with mp.workdps(40):
+        k, b, tau_c = map(mp.mpf, (two_s, b, tau_c))
+        # tau chi'(tau) = b^2 tau_c tau (1 - e^(-tau/tau_c))
+        g = lambda lt: mp.log(2 * k**2 * b**2 * tau_c) + lt + mp.log(-mp.expm1(-mp.exp(lt) / tau_c))
+        seed = max(-mp.log(mp.sqrt(2) * k * b), -mp.log(2 * k**2 * b**2 * tau_c))
+        tau = mp.exp(mp.findroot(g, seed))
+        x = tau / tau_c
+        # x + expm1(-x) cancels 2 |log10 x| digits where x is small
+        with mp.workdps(40 + 2 * max(0, int(-mp.log10(x)))):
+            rate = k**2 * tau * mp.exp(-2 * k**2 * b**2 * tau_c**2 * (x + mp.expm1(-x)))
+        return float(tau), float(rate)
+
+
+class TestGhzOptimumAtTheFloatRange:
+    """Optima whose intermediate products (b tau_c)^2 or tau^2 leave the float range."""
+
+    @pytest.mark.parametrize(
+        "two_s,b,tau_c",
+        [(1, 2.1544346900319308e-147, 1.0), (1, 1e200, 1.0), (2_000_000, 1e-150, 1e150),
+         (1, 1e150, 1e-150), (1, 1e-100, 1e150), (1, 1e-60, 1e-60), (7, 3e140, 2e-141)],
+    )
+    def test_against_high_precision(self, two_s, b, tau_c):
+        result = yield_rate(SpinQuantumNumber(two_s), OUNoise(b, tau_c))
+        tau_ref, rate_ref = _ghz_optimum_highprec(two_s, b, tau_c)
+        assert result.rate == pytest.approx(rate_ref, rel=1e-12)
+        assert result.tau_opt == pytest.approx(tau_ref, rel=1e-11)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        two_s=st.tuples(st.integers(1, 2_000_000), st.integers(1, 2_000_000)),
+        log_m=st.floats(-290.0, 290.0),
+        where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_rate_depends_on_the_memory_parameter_alone(self, two_s, log_m, where):
+        # R = (2S)^2 tau_c g(m) with m = 2 S b tau_c: two rows with the same m,
+        # each with S in [1/2, 1e6] and b, tau_c in [1e-150, 1e150]
+        two_s = np.array(two_s, dtype=float)
+        lo = np.maximum(-150.0, log_m - np.log10(two_s) - 150.0)
+        hi = np.minimum(150.0, log_m - np.log10(two_s) + 150.0)
+        tau_c = 10.0 ** (lo + (hi - lo) * np.array(where))
+        b = 10.0**log_m / (two_s * tau_c)
+        assert np.all((b >= 1e-150 * (1 - 1e-9)) & (b <= 1e150 * (1 + 1e-9)))
+        tau, rate = protocol._ghz_optima(_free_law(b, tau_c), two_s)
+        finite = np.isfinite(rate) & np.isfinite(tau)
+        # a row may fail only where its rate or tau_opt leaves the float range
+        log_k = np.log10(two_s * b)
+        log_tau = np.maximum(-np.log10(math.sqrt(2.0)) - log_k, -np.log10(2.0) - 2 * log_k - np.log10(tau_c))
+        assert np.all(finite | (np.maximum(log_tau, 2 * np.log10(two_s) + log_tau) > 307.5))
+        if np.all(finite):  # R/((2S)^2 tau_c) agree to 1e-12 relative; it may itself overflow
+            log_scaled = np.log(rate) - 2 * np.log(two_s) - np.log(tau_c)
+            assert abs(log_scaled[0] - log_scaled[1]) <= 1e-12
 
 
 class TestFitLogLog:
@@ -273,7 +379,6 @@ class TestFitLogLog:
             tau_opts=np.ones(n),
             markov_params=np.ones(n),
             regimes=tuple([RegimeKind.INTERMEDIATE] * n),
-            on_boundary=tuple([False] * n),
         )
 
     def test_exact_power_law(self):
@@ -318,17 +423,20 @@ class TestStateOptimization:
         noise = OUNoise(1.0, tau_c)
         pairs = np.array([(np.pi / 4, np.pi / 2), (0.3, 1.2), (1.1, 0.4), (0.02, 1.5),
                           (1.5, 0.05), (0.9, 0.7)])
-        _, _, rates = protocol._spin1_rates(noise, config.YieldSearchConfig())
+        _, _, rates, unbracketed = protocol._spin1_rates(noise, config.YieldSearchConfig())
         batched = rates(pairs[:, 0], pairs[:, 1])
-        sq = SpinQuantumNumber(2)
+        assert unbracketed == [0]
+        # the maximum of F/tau over the scan window [T2/100, 100 T2], on dense grids
+        log_t2 = math.log(t2(SpinQuantumNumber(2), noise))
         for (theta, phi), got in zip(pairs, batched):
-            curve = lambda t: spin1_qfi_values(theta, phi, chi(noise, t), t)
-            assert got == pytest.approx(yield_rate(sq, noise, curve).rate, rel=1e-12)
+            ref = _dense_grid_max(lambda t: spin1_qfi_values(theta, phi, chi(noise, t), t) / t,
+                                  log_t2 - math.log(100.0), log_t2 + math.log(100.0))
+            assert got == pytest.approx(ref, rel=1e-12)
 
     def test_batched_rate_does_not_depend_on_the_batch(self):
         # a row solved alone equals the same row inside a starts x 5 x 5 batch
         noise = OUNoise(1.0, 1e-3)
-        _, _, rates = protocol._spin1_rates(noise, config.YieldSearchConfig())
+        _, _, rates, _ = protocol._spin1_rates(noise, config.YieldSearchConfig())
         rng = np.random.default_rng(7)
         theta, phi = rng.uniform(1e-9, np.pi / 2, size=(2, 5, 25))
         batch = rates(theta, phi)
@@ -336,6 +444,11 @@ class TestStateOptimization:
         for i, j in [(0, 0), (2, 12), (4, 24)]:
             alone = rates(theta[i, j : j + 1], phi[i, j : j + 1])
             assert alone[0] == batch[i, j]
+
+    def test_every_rate_row_bracketed_at_the_dataset_points(self):
+        # the tau_c grid of scripts/make_datasets.py
+        for tau_c in np.logspace(-4, 2, 13):
+            assert optimize_initial_state_spin1(OUNoise(1.0, tau_c)).unbracketed == 0
 
     def test_result_diagnostics(self):
         search = config.StateSearchConfig()
@@ -346,6 +459,7 @@ class TestStateOptimization:
         assert len(result.starts) == search.refine_starts
         assert max(r for _, _, r in result.starts) == result.r_max
         assert not result.ghz_won
+        assert result.unbracketed == 0
 
     def test_phase_angles_do_not_enter_objective(self):
         # the optimizer's objective is built from the phase-free closed form;
