@@ -50,7 +50,7 @@ class StateSearchConfig:
     grid_size: int = 64           # grid_size x grid_size over (Theta, Phi)
     refine_starts: int = 5        # best grid cells refined together
     xatol: float = 1e-6           # refinement stops below this angle half-width
-    # grid rows evaluated per vectorized slab; a slab's temporaries are rows x
-    # 200 tau points (0.4 MB at 256), small against the process, so the peak
-    # memory of a search does not hinge on how the allocator reuses them
+    # state rows per chunk of the tau scan; one search allocates two float
+    # buffers of rows x 200 tau points (0.4 MB each at 256), which hold each
+    # chunk's numerator and denominator of F/tau and which every chunk reuses
     chunk_rows: int = 256

@@ -325,18 +325,27 @@ def _grid_max_2d(objective, x, y, half_width: float, bounds: tuple[float, float]
     return x, y, fx, passes
 
 
-def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig):
+def _spin1_rates(
+    noise: OUNoise, tau_search: config.YieldSearchConfig,
+    chunk_rows: int = config.StateSearchConfig.chunk_rows,
+):
     """The spin-1 yield rate of many (theta, phi) states at one noise point.
 
-    Returns the tau scan grid (one row over [T2/100, 100 T2] of the spin-1
-    GHZ state), D = exp(-2 chi) on it, a function that maps equal-shape theta
-    and phi arrays to the rate of each state, and a list that receives, per
-    call, the number of rows whose scan bracket held no root.  The scan
-    reuses the cached D; its best point and two neighbours bracket the root
-    of d log(F/tau)/d log tau = 1 - 2 tau chi' (1 + D P'/P - D Q'/Q), solved
-    by ``_illinois``.  A row with no sign change keeps its scan point, no row
-    depends on the others, and a rate that is not finite raises
-    FloatingPointError.
+    Returns a scan function, a function that maps equal-shape theta and phi
+    arrays to the rate of each state, and a list that receives, per call,
+    the number of rows whose scan bracket held no root.  The scan is one
+    row of 200 tau points over [T2/100, 100 T2] of the spin-1 GHZ state,
+    with D = exp(-2 chi) on it.  Two tables are built once per noise point,
+    Vp[k] = D^(k+1) tau (k = 0..6) and Vq[k] = D^k (k = 0..3), so F/tau on
+    the scan is stack(p) @ Vp / stack(q) @ Vq, never forming tau^2; ``scan``
+    maps 1-d coefficient arrays to each row's best scan index and F/tau
+    there, ``chunk_rows`` rows at a time, through two buffers that every
+    chunk reuses.  In ``rates`` a row's best point and its two neighbours
+    bracket the root of d log(F/tau)/d log tau = 1 - 2 tau chi' (1 + D P'/P
+    - D Q'/Q), solved by ``_illinois``; the rate there is the Horner form
+    of ``qfi``, which the oracle suite checks.  A row with no sign change
+    keeps its scan point, no row depends on the others, and a rate that is
+    not finite raises FloatingPointError.
     """
     t2_val = np.array([t2(SpinQuantumNumber(2), noise)])
     tau_grid = np.logspace(np.log10(t2_val * tau_search.tau_lo_factor),
@@ -347,15 +356,32 @@ def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig):
     if not np.all(np.isfinite(chi_grid)):
         raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite (chi overflows)")
     d_grid = np.exp(-2.0 * chi_grid)
+    vp = d_grid ** np.arange(1, 8)[:, None] * tau_grid
+    vq = d_grid ** np.arange(4)[:, None]
+    num = np.empty((chunk_rows, tau_grid.shape[1]))
+    den, ok = np.empty_like(num), np.empty(num.shape, dtype=bool)
     log_grid, last = np.log(tau_grid[0]), tau_grid.shape[1] - 1
     b, tau_c = noise.b, noise.tau_c
     unbracketed: list[int] = []
 
+    def scan(p, q):
+        p, q = np.stack(p, axis=1), np.stack(q, axis=1)
+        i, best = np.empty(len(p), dtype=np.intp), np.empty(len(p))
+        for k in range(0, len(p), chunk_rows):
+            m = min(chunk_rows, len(p) - k)
+            f, g, good = num[:m], den[:m], ok[:m]
+            np.matmul(p[k : k + m], vp, out=f)
+            np.matmul(q[k : k + m], vq, out=g)
+            np.greater(g, 1e-280, out=good)
+            f *= good  # 0 where q vanishes
+            np.divide(f, g, out=f, where=good)
+            j = np.argmax(f, axis=1)
+            i[k : k + m], best[k : k + m] = j, f[np.arange(m), j]
+        return i, best
+
     def rates(theta, phi):
         p, q = _spin1_coefficients(np.ravel(theta), np.ravel(phi))
-        scan = _spin1_from_coefficients(
-            [c[:, None] for c in p], [c[:, None] for c in q], d_grid, tau_grid) / tau_grid
-        i = np.argmax(np.where(np.isnan(scan), -np.inf, scan), axis=1)
+        i, at_i = scan(p, q)
 
         def h(u):  # -d log(F/tau)/d log tau at tau = e^u, with tau chi' = b^2 tau_c tau (1 - e^-x)
             t = np.exp(u)
@@ -368,13 +394,13 @@ def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig):
             t = np.exp(u)
             root = _spin1_from_coefficients(p, q, np.exp(-2.0 * _chi(b, tau_c, t)), t) / t
         bracketed = np.isfinite(u)
-        r = np.where(bracketed, root, scan[np.arange(len(i)), i])
+        r = np.where(bracketed, root, at_i)
         if not np.all(np.isfinite(r)):
             raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite")
         unbracketed.append(int(np.count_nonzero(~bracketed)))
         return r.reshape(np.shape(theta))
 
-    return tau_grid, d_grid, rates, unbracketed
+    return scan, rates, unbracketed
 
 
 def optimize_initial_state_spin1(
@@ -386,16 +412,17 @@ def optimize_initial_state_spin1(
     """Best spin-1 initial state for the yield rate, against the GHZ baseline.
 
     Ranks a grid over the two amplitude angles (the relative phases do not
-    enter the QFI) by the best rate on the tau scan, refines the best cells
-    together on nested 5 x 5 angle grids (one batched rate solve per pass,
-    from a half-width of one cell down to ``xatol``), and reports the
+    enter the QFI) by the best F/tau on the tau scan, two small matrix
+    products per chunk of ``search.chunk_rows`` cells, refines the best
+    cells together on nested 5 x 5 angle grids (one batched rate solve per
+    pass, from a half-width of one cell down to ``xatol``), and reports the
     overlap of the winner with the GHZ-like state after zeroing the phases
     of both.  The GHZ point itself is part of the candidate set, so r_max
     can never fall below r_ghz.  Each rate is the maximum of the spin-1
     curve's F/tau, solved by ``_spin1_rates``; a rate that is not finite
     raises FloatingPointError.
     """
-    tau_grid, d_grid, rates, unbracketed = _spin1_rates(noise, tau_search)
+    scan, rates, unbracketed = _spin1_rates(noise, tau_search, search.chunk_rows)
     n = search.grid_size
     cell = (math.pi / 2) / n
     angles = (np.arange(n) + 0.5) * cell  # interior of (0, pi/2)
@@ -403,12 +430,7 @@ def optimize_initial_state_spin1(
     th, ph = th.ravel(), ph.ravel()
 
     # coarse rate on the tau grid only, to rank refinement starts
-    coarse = np.empty(len(th))
-    step = search.chunk_rows
-    for k in range(0, len(th), step):
-        p, q = _spin1_coefficients(th[k : k + step, None], ph[k : k + step, None])
-        f = _spin1_from_coefficients(p, q, d_grid, tau_grid)
-        coarse[k : k + step] = np.max(f / tau_grid, axis=1)
+    _, coarse = scan(*_spin1_coefficients(th, ph))
 
     r_ghz = float(rates(np.array([math.pi / 4]), np.array([math.pi / 2]))[0])
     idx = np.argsort(coarse)[::-1][: search.refine_starts]
