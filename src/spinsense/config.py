@@ -48,7 +48,7 @@ class StateSearchConfig:
     """Grid plus nested-grid settings for the spin-1 initial-state optimization."""
 
     grid_size: int = 64           # grid_size x grid_size over (Theta, Phi)
-    refine_starts: int = 5        # best grid cells refined together
+    refine_starts: int = 5        # at most this many distinct grid peaks refined together
     xatol: float = 1e-6           # refinement stops below this angle half-width
     # state rows per chunk of the tau scan; one search allocates two float
     # buffers of rows x 200 tau points (0.4 MB each at 256), which hold each

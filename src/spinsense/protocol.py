@@ -115,6 +115,7 @@ class StateOptResult:
     fidelity_with_ghz: float
     # solver diagnostics: rate rows solved (1 at the GHZ point plus
     # passes x starts x 25), the nested-grid passes, (theta, phi) of each start
+    # (the distinct coarse peaks, at most refine_starts)
     # with the rate it ended on, whether no start beat the GHZ point, and the
     # rate rows whose scan bracket held no root (they keep their scan point)
     rate_evaluations: int = 0
@@ -325,6 +326,25 @@ def _grid_max_2d(objective, x, y, half_width: float, bounds: tuple[float, float]
     return x, y, fx, passes
 
 
+def _grid_peaks(values: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices of the <= ``count`` best local maxima of a 2-d grid, best first.
+
+    A cell is a local maximum when it is at least each of its 8 neighbours,
+    with -inf beyond the edges; on a plateau only the first of equal
+    neighbours in row-major order counts, so no two peaks are adjacent.
+    """
+    rows, cols = values.shape
+    padded = np.pad(values, 1, constant_values=-np.inf)
+    peak = np.ones(values.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                near = padded[1 + di : 1 + di + rows, 1 + dj : 1 + dj + cols]
+                peak &= values > near if (di, dj) < (0, 0) else values >= near
+    idx = np.flatnonzero(peak)
+    return idx[np.argsort(values.ravel()[idx])[::-1][:count]]
+
+
 def _spin1_rates(
     noise: OUNoise, tau_search: config.YieldSearchConfig,
     chunk_rows: int = config.StateSearchConfig.chunk_rows,
@@ -414,8 +434,10 @@ def optimize_initial_state_spin1(
     Ranks a grid over the two amplitude angles (the relative phases do not
     enter the QFI) by the best F/tau on the tau scan, two small matrix
     products per chunk of ``search.chunk_rows`` cells, refines the best
-    cells together on nested 5 x 5 angle grids (one batched rate solve per
-    pass, from a half-width of one cell down to ``xatol``), and reports the
+    distinct peaks of that grid (at most ``search.refine_starts`` cells, each
+    at least its 8 neighbours) together on nested 5 x 5 angle grids (one
+    batched rate solve per pass, from a half-width of one cell down to
+    ``xatol``), and reports the
     overlap of the winner with the GHZ-like state after zeroing the phases
     of both.  The GHZ point itself is part of the candidate set, so r_max
     can never fall below r_ghz.  Each rate is the maximum of the spin-1
@@ -433,7 +455,7 @@ def optimize_initial_state_spin1(
     _, coarse = scan(*_spin1_coefficients(th, ph))
 
     r_ghz = float(rates(np.array([math.pi / 4]), np.array([math.pi / 2]))[0])
-    idx = np.argsort(coarse)[::-1][: search.refine_starts]
+    idx = _grid_peaks(coarse.reshape(n, n), search.refine_starts)
     x, y, fx, passes = _grid_max_2d(
         rates, th[idx], ph[idx], cell, (1e-9, math.pi / 2), search.xatol
     )

@@ -234,14 +234,14 @@ class TestOptimizeStateCommand:
         assert [p["tau_c"] for p in points] == [float(r[0]) for r in read_csv(out)[1]]
         starts = config.StateSearchConfig().refine_starts
         for p, row in zip(points, read_csv(out)[1]):
-            assert len(p["starts"]) == starts
+            assert 1 <= len(p["starts"]) <= starts
             assert all(0 < s["theta"] < math.pi / 2 and 0 < s["phi"] < math.pi / 2
                        for s in p["starts"])
             # no start ends above the reported optimum
             assert max(s["rate"] for s in p["starts"]) <= float(row[2])
             # one row at the GHZ point plus a 5 x 5 angle grid per start and pass
             assert p["passes"] > 0
-            assert p["rate_evaluations"] == 1 + p["passes"] * starts * 25
+            assert p["rate_evaluations"] == 1 + p["passes"] * len(p["starts"]) * 25
             assert p["unbracketed"] == 0
         # the better state beats GHZ when the noise is Markovian, not when quasi-static
         assert [p["ghz_won"] for p in points] == [False, True]

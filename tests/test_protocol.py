@@ -455,11 +455,39 @@ class TestStateOptimization:
         result = optimize_initial_state_spin1(OUNoise(1.0, 1e-3), search=search)
         # from one coarse cell down to xatol: (pi/2)/64 / 2**14 >= 1e-6 > (pi/2)/64 / 2**15
         assert result.passes == 15
-        assert result.rate_evaluations == 1 + result.passes * search.refine_starts * 25
-        assert len(result.starts) == search.refine_starts
+        assert result.rate_evaluations == 1 + result.passes * len(result.starts) * 25
+        assert 1 <= len(result.starts) <= search.refine_starts
         assert max(r for _, _, r in result.starts) == result.r_max
         assert not result.ghz_won
         assert result.unbracketed == 0
+
+    @pytest.mark.parametrize("tau_c", [1e-3, 0.2, 100.0])
+    def test_starts_are_distinct_coarse_peaks(self, tau_c):
+        search = config.StateSearchConfig()
+        cell = (np.pi / 2) / search.grid_size
+        result = optimize_initial_state_spin1(OUNoise(1.0, tau_c), search=search)
+        cells = [(round(theta / cell - 0.5), round(phi / cell - 0.5))
+                 for theta, phi, _ in result.starts]
+        assert len(set(cells)) == len(cells)
+        for k, (i, j) in enumerate(cells):
+            for i2, j2 in cells[k + 1 :]:
+                assert max(abs(i - i2), abs(j - j2)) > 1
+
+    def test_grid_peaks_are_never_adjacent(self):
+        values = np.zeros((6, 7))
+        values[1, 1] = values[1, 2] = 5.0  # a plateau: only its first cell counts
+        values[4, 5] = 3.0
+        values[5, 0] = 4.0  # at the edge, against -inf beyond it
+        values[3, 4] = values[2, 4] = 2.0
+        assert protocol._grid_peaks(values, 10).tolist() == [1 * 7 + 1, 5 * 7 + 0, 4 * 7 + 5,
+                                                             2 * 7 + 4]
+        assert protocol._grid_peaks(values, 2).tolist() == [8, 35]
+        rng = np.random.default_rng(3)
+        grid = rng.integers(0, 3, size=(16, 16)).astype(float)  # many ties
+        peaks = [divmod(int(k), 16) for k in protocol._grid_peaks(grid, 256)]
+        assert peaks
+        for k, (i, j) in enumerate(peaks):
+            assert all(max(abs(i - i2), abs(j - j2)) > 1 for i2, j2 in peaks[k + 1 :])
 
     def test_phase_angles_do_not_enter_objective(self):
         # the optimizer's objective is built from the phase-free closed form;
