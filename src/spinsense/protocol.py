@@ -362,8 +362,9 @@ def _spin1_rates(
     there, ``chunk_rows`` rows at a time, through two buffers that every
     chunk reuses.  In ``rates`` a row's best point and its two neighbours
     bracket the root of d log(F/tau)/d log tau = 1 - 2 tau chi' (1 + D P'/P
-    - D Q'/Q), solved by ``_illinois``; the rate there is the Horner form
-    of ``qfi``, which the oracle suite checks.  A row with no sign change
+    - D Q'/Q), solved by ``_illinois``; the rate there is F/tau in the
+    Horner form of ``qfi``, which the oracle suite checks, again without
+    tau^2, so it does not overflow where F does.  A row with no sign change
     keeps its scan point, no row depends on the others, and a rate that is
     not finite raises FloatingPointError.
     """
@@ -412,7 +413,7 @@ def _spin1_rates(
             a, z = log_grid[np.maximum(i - 1, 0)], log_grid[np.minimum(i + 1, last)]
             u = _illinois(h, a, z, h(a), h(z))
             t = np.exp(u)
-            root = _spin1_from_coefficients(p, q, np.exp(-2.0 * _chi(b, tau_c, t)), t) / t
+            root = _spin1_from_coefficients(p, q, np.exp(-2.0 * _chi(b, tau_c, t)), t)
         bracketed = np.isfinite(u)
         r = np.where(bracketed, root, at_i)
         if not np.all(np.isfinite(r)):

@@ -114,8 +114,12 @@ def _spin1_coefficients(theta, phi):
     return p, q
 
 
-def _spin1_from_coefficients(p, q, d, tau):
-    """tau^2 D p(D) / q(D) by Horner's rule; 0 where q vanishes."""
+def _spin1_from_coefficients(p, q, d, scale):
+    """scale D p(D) / q(D) by Horner's rule; 0 where q vanishes.
+
+    The QFI with scale = tau^2, F/tau with scale = tau, which stays finite
+    where tau^2 would overflow.
+    """
     num = p[6]
     for c in p[5::-1]:
         num = num * d + c
@@ -123,7 +127,7 @@ def _spin1_from_coefficients(p, q, d, tau):
     for c in q[2::-1]:
         den = den * d + c
     ok = den > 1e-280
-    return np.where(ok, tau * tau * d * num / np.where(ok, den, 1.0), 0.0)
+    return np.where(ok, scale * d * num / np.where(ok, den, 1.0), 0.0)
 
 
 def _spin1_log_slope(p, q, d):
@@ -155,7 +159,7 @@ def spin1_qfi_values(theta, phi, chi_value, tau) -> np.ndarray:
     if np.any(chi_value < 0):
         raise ValueError("chi must be nonnegative")
     p, q = _spin1_coefficients(theta, phi)
-    return _spin1_from_coefficients(p, q, np.exp(-2.0 * chi_value), tau)
+    return _spin1_from_coefficients(p, q, np.exp(-2.0 * chi_value), tau * tau)
 
 
 def qfi_spin1_closed(p: Spin1Params, chi_value: float, tau: float) -> QFIResult:

@@ -246,6 +246,21 @@ class TestOptimizeStateCommand:
         # the better state beats GHZ when the noise is Markovian, not when quasi-static
         assert [p["ghz_won"] for p in points] == [False, True]
 
+    def test_markovian_rate_beyond_tau_squared(self, tmp_path, capsys):
+        # tau_opt ~ 1e299 here, so tau^2 overflows although F/tau is finite:
+        # the Markovian rates are 1/(2e b^2 tau_c) for GHZ and the same gain
+        # over it as at b = 1, tau_c = 1e-4
+        out = str(tmp_path / "tiny_b.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["optimize-state", "--b", "1e-150", "--tau-c-min", "1",
+                        "--tau-c-max", "1", "--points", "1", "--out", out])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        row = [float(v) for v in read_csv(out)[1][0]]
+        assert row[1] == pytest.approx(1 / (2 * math.e * 1e-300), rel=1e-9)
+        assert row[2] / row[1] == pytest.approx(1.5313, rel=1e-4)
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         out = str(tmp_path / "huge_b.csv")
         code = run(["optimize-state", "--b", "1e300", "--tau-c-min", "1",
