@@ -345,45 +345,21 @@ def _grid_peaks(values: np.ndarray, count: int) -> np.ndarray:
     return idx[np.argsort(values.ravel()[idx])[::-1][:count]]
 
 
-def _spin1_rates(
-    noise: OUNoise, tau_search: config.YieldSearchConfig,
-    chunk_rows: int = config.StateSearchConfig.chunk_rows,
-):
-    """The spin-1 yield rate of many (theta, phi) states at one noise point.
+def _spin1_scanner(d: np.ndarray, tau: np.ndarray, chunk_rows: int):
+    """F/tau of many spin-1 states on one row of (D, tau) points, by two small matrix products.
 
-    Returns a scan function, a function that maps equal-shape theta and phi
-    arrays to the rate of each state, and a list that receives, per call,
-    the number of rows whose scan bracket held no root.  The scan is one
-    row of 200 tau points over [T2/100, 100 T2] of the spin-1 GHZ state,
-    with D = exp(-2 chi) on it.  Two tables are built once per noise point,
-    Vp[k] = D^(k+1) tau (k = 0..6) and Vq[k] = D^k (k = 0..3), so F/tau on
-    the scan is stack(p) @ Vp / stack(q) @ Vq, never forming tau^2; ``scan``
-    maps 1-d coefficient arrays to each row's best scan index and F/tau
-    there, ``chunk_rows`` rows at a time, through two buffers that every
-    chunk reuses.  In ``rates`` a row's best point and its two neighbours
-    bracket the root of d log(F/tau)/d log tau = 1 - 2 tau chi' (1 + D P'/P
-    - D Q'/Q), solved by ``_illinois``; the rate there is F/tau in the
-    Horner form of ``qfi``, which the oracle suite checks, again without
-    tau^2, so it does not overflow where F does.  A row with no sign change
-    keeps its scan point, no row depends on the others, and a rate that is
-    not finite raises FloatingPointError.
+    With F/tau = tau D p(D)/q(D), builds the tables Vp[k] = D^(k+1) tau
+    (k = 0..6) and Vq[k] = D^k (k = 0..3) once, so a chunk of states is
+    stack(p) @ Vp over stack(q) @ Vq and tau^2 is never formed.  Returns a
+    function that maps 1-d coefficient arrays (``qfi._spin1_coefficients``)
+    to each state's best point index and F/tau there, 0 where q vanishes.
+    It works ``chunk_rows`` states at a time, in two buffers of chunk_rows x
+    points that every chunk reuses.
     """
-    t2_val = np.array([t2(SpinQuantumNumber(2), noise)])
-    tau_grid = np.logspace(np.log10(t2_val * tau_search.tau_lo_factor),
-                           np.log10(t2_val * tau_search.tau_hi_factor),
-                           tau_search.grid_points, axis=-1)
-    with np.errstate(all="ignore"):
-        chi_grid = chi(noise, tau_grid)
-    if not np.all(np.isfinite(chi_grid)):
-        raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite (chi overflows)")
-    d_grid = np.exp(-2.0 * chi_grid)
-    vp = d_grid ** np.arange(1, 8)[:, None] * tau_grid
-    vq = d_grid ** np.arange(4)[:, None]
-    num = np.empty((chunk_rows, tau_grid.shape[1]))
+    vp = d ** np.arange(1, 8)[:, None] * tau
+    vq = d ** np.arange(4)[:, None]
+    num = np.empty((chunk_rows, len(d)))
     den, ok = np.empty_like(num), np.empty(num.shape, dtype=bool)
-    log_grid, last = np.log(tau_grid[0]), tau_grid.shape[1] - 1
-    b, tau_c = noise.b, noise.tau_c
-    unbracketed: list[int] = []
 
     def scan(p, q):
         p, q = np.stack(p, axis=1), np.stack(q, axis=1)
@@ -399,6 +375,41 @@ def _spin1_rates(
             j = np.argmax(f, axis=1)
             i[k : k + m], best[k : k + m] = j, f[np.arange(m), j]
         return i, best
+
+    return scan
+
+
+def _spin1_rates(
+    noise: OUNoise, tau_search: config.YieldSearchConfig,
+    chunk_rows: int = config.StateSearchConfig.chunk_rows,
+):
+    """The spin-1 yield rate of many (theta, phi) states at one noise point.
+
+    Returns the ``_spin1_scanner`` of the tau scan, a function that maps
+    equal-shape theta and phi arrays to the rate of each state, and a list
+    that receives, per call, the number of rows whose scan bracket held no
+    root.  The scan is one row of 200 tau points over [T2/100, 100 T2] of
+    the spin-1 GHZ state, with D = exp(-2 chi) on it.  In ``rates`` a row's
+    best scan point and its two neighbours bracket the root of
+    d log(F/tau)/d log tau = 1 - 2 tau chi' (1 + D P'/P - D Q'/Q), solved
+    by ``_illinois``; the rate there is F/tau in the Horner form of ``qfi``,
+    which the oracle suite checks, again without tau^2, so it does not
+    overflow where F does.  A row with no sign change keeps its scan point,
+    no row depends on the others, and a rate that is not finite raises
+    FloatingPointError.
+    """
+    t2_val = t2(SpinQuantumNumber(2), noise)
+    tau_grid = np.logspace(np.log10(t2_val * tau_search.tau_lo_factor),
+                           np.log10(t2_val * tau_search.tau_hi_factor),
+                           tau_search.grid_points)
+    with np.errstate(all="ignore"):
+        chi_grid = chi(noise, tau_grid)
+    if not np.all(np.isfinite(chi_grid)):
+        raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite (chi overflows)")
+    scan = _spin1_scanner(np.exp(-2.0 * chi_grid), tau_grid, chunk_rows)
+    log_grid, last = np.log(tau_grid), len(tau_grid) - 1
+    b, tau_c = noise.b, noise.tau_c
+    unbracketed: list[int] = []
 
     def rates(theta, phi):
         p, q = _spin1_coefficients(np.ravel(theta), np.ravel(phi))

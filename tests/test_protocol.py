@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +31,7 @@ from spinsense import (
 )
 from spinsense import config, protocol
 from spinsense.ou_noise import _dd_law, _free_law, _illinois, _Law, _law_roots
+from spinsense.qfi import _spin1_coefficients, _spin1_from_coefficients
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
 
@@ -403,6 +405,48 @@ class TestFitLogLog:
         rates[3] = 0.0
         with pytest.raises(ValueError):
             fit_loglog_exponent(self._table(x, rates), (0, 8))
+
+
+# amplitude angles, with the axes drawn often: there sin(theta) or Q(D)
+# vanishes in exact arithmetic
+_ANGLE = st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(0.0, math.pi / 2))
+
+
+class TestSpin1Scan:
+    """The state search ranks by the matrix-product scan, which no oracle sees."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(states=st.lists(st.tuples(_ANGLE, _ANGLE), min_size=1, max_size=12),
+           points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-6, 1e6)),
+                           min_size=1, max_size=8),
+           chunk_rows=st.integers(1, 5))
+    def test_scan_equals_horner(self, states, points, chunk_rows):
+        theta, phi = np.array(states).T
+        d, tau = np.array(points).T
+        p, q = _spin1_coefficients(theta, phi)
+        # F/tau of every state at every point, by Horner's rule
+        ref = _spin1_from_coefficients([c[:, None] for c in p], [c[:, None] for c in q], d, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            i, best = protocol._spin1_scanner(d, tau, chunk_rows)(p, q)
+        # relative, down to the smallest normal double: below it neither
+        # route keeps all digits (sin^2 theta is subnormal at theta ~ 1e-160)
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(best, ref.max(axis=1), rtol=1e-13, atol=tiny)
+        np.testing.assert_allclose(ref[np.arange(len(i)), i], best, rtol=1e-13, atol=tiny)
+        # the axis states carry no information: 0 to the rounding of pi/2
+        axis = np.isin(theta, (0.0, math.pi / 2)) & np.isin(phi, (0.0, math.pi / 2))
+        assert np.all(best[axis] <= 1e-30 * tau.max())
+        assert np.all(best[theta == 0.0] == 0.0)
+
+    def test_vanishing_q_gives_zero(self):
+        p, _ = _spin1_coefficients(np.array([0.3, 1.2, 0.9]), np.array([1.1, 0.2, 0.7]))
+        q = tuple(np.zeros(3) for _ in range(4))
+        d, tau = np.array([0.0, 0.5, 1.0]), np.array([1e-3, 1.0, 1e3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, best = protocol._spin1_scanner(d, tau, 2)(p, q)
+        assert best.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestStateOptimization:
