@@ -115,9 +115,9 @@ class StateOptResult:
     fidelity_with_ghz: float
     # solver diagnostics: rate rows solved (1 at the GHZ point plus
     # passes x starts x 25), the nested-grid passes, (theta, phi) of each start
-    # (the distinct coarse peaks, at most refine_starts)
-    # with the rate it ended on, whether no start beat the GHZ point, and the
-    # rate rows whose scan bracket held no root (they keep their scan point)
+    # (the distinct coarse peaks, at most refine_starts) with the rate it ended
+    # on, whether no start beat the GHZ point, and the rate rows whose scan
+    # bracket held no root (they keep their scan point)
     rate_evaluations: int = 0
     starts: tuple[tuple[float, float, float], ...] = ()
     ghz_won: bool = False
@@ -445,16 +445,15 @@ def optimize_initial_state_spin1(
 
     Ranks a grid over the two amplitude angles (the relative phases do not
     enter the QFI) by the best F/tau on the tau scan, two small matrix
-    products per chunk of ``search.chunk_rows`` cells, refines the best
+    products per chunk of ``search.chunk_rows`` cells; refines the best
     distinct peaks of that grid (at most ``search.refine_starts`` cells, each
     at least its 8 neighbours) together on nested 5 x 5 angle grids (one
     batched rate solve per pass, from a half-width of one cell down to
-    ``xatol``), and reports the
-    overlap of the winner with the GHZ-like state after zeroing the phases
-    of both.  The GHZ point itself is part of the candidate set, so r_max
-    can never fall below r_ghz.  Each rate is the maximum of the spin-1
-    curve's F/tau, solved by ``_spin1_rates``; a rate that is not finite
-    raises FloatingPointError.
+    ``xatol``); and reports the overlap of the winner with the GHZ-like
+    state after zeroing the phases of both.  The GHZ point itself is part of
+    the candidate set, so r_max can never fall below r_ghz.  Each rate is
+    the maximum of the spin-1 curve's F/tau, solved by ``_spin1_rates``; a
+    rate that is not finite raises FloatingPointError.
     """
     scan, rates, unbracketed = _spin1_rates(noise, tau_search, search.chunk_rows)
     n = search.grid_size
