@@ -29,14 +29,10 @@ from statistics import median, quantiles
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
 def export(rev: str, dest: str) -> str:
     """Write the files of ``rev`` under ``dest``; return its full commit id."""
-    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                            check=True, capture_output=True, text=True).stdout.strip()
     archive = subprocess.run(["git", "-C", ROOT, "archive", commit], check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)

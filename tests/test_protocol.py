@@ -508,12 +508,19 @@ class TestStateOptimization:
     @pytest.mark.parametrize("tau_c", [1e-3, 0.2, 100.0])
     def test_starts_are_distinct_coarse_peaks(self, tau_c):
         search = config.StateSearchConfig()
-        cell = (np.pi / 2) / search.grid_size
-        result = optimize_initial_state_spin1(OUNoise(1.0, tau_c), search=search)
+        n, noise = search.grid_size, OUNoise(1.0, tau_c)
+        cell = (np.pi / 2) / n
+        result = optimize_initial_state_spin1(noise, search=search)
+        # the coarse ranking, rebuilt from the same scan
+        th, ph = np.meshgrid((np.arange(n) + 0.5) * cell, (np.arange(n) + 0.5) * cell,
+                             indexing="ij")
+        scan, _, _ = protocol._spin1_rates(noise, config.YieldSearchConfig())
+        _, coarse = scan(*_spin1_coefficients(th.ravel(), ph.ravel()))
+        coarse = np.pad(coarse.reshape(n, n), 1, constant_values=-np.inf)
         cells = [(round(theta / cell - 0.5), round(phi / cell - 0.5))
                  for theta, phi, _ in result.starts]
-        assert len(set(cells)) == len(cells)
         for k, (i, j) in enumerate(cells):
+            assert coarse[i + 1, j + 1] == coarse[i : i + 3, j : j + 3].max()
             for i2, j2 in cells[k + 1 :]:
                 assert max(abs(i - i2), abs(j - j2)) > 1
 
