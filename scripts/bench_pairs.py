@@ -4,12 +4,17 @@
     python3 scripts/bench_pairs.py --base-rev HEAD~1 --head-rev HEAD --out BENCH_12.json
 
 Exports both revisions with ``git archive`` into fresh temporary directories
-and, for every workload and seed, runs ``perfbench/run.py`` once in each,
-alternating which side runs first.  Run it from inside the repository.  The
-JSON written to ``--out`` holds every run's end-to-end metrics, failed and
-attempted operations and correctness, and per workload and metric each
-side's median and quartiles and the number of pairs the head won (ties count
-for neither side).  The benchmark files are used as committed; nothing under
+and, for every workload and seed, runs ``perfbench/run.py`` once in each for
+the run length that BENCHMARK.json fixes, alternating which side runs first.
+Run it from inside the repository.  Each invocation appends one report to the
+JSON list in ``--out``.  A report holds every run's end-to-end metrics,
+failed and attempted operations and correctness; per workload and side, the
+number of runs that errored or were incorrect and the failed and attempted
+operations summed over all runs; and per workload and metric each side's
+median and quartiles and the number of pairs the head won (ties count for
+neither side), over the pairs in which both runs completed correctly.  If any
+run errored or was incorrect, the report is still written and the script
+exits 1.  The benchmark files are used as committed; nothing under
 ``perfbench/`` is edited.
 """
 
@@ -53,10 +58,27 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def usable(run: dict) -> bool:
+    """Whether a run completed and its output was correct."""
+    return "metrics" in run and run["correct"]
+
+
+def checks(runs: list[dict], side: str) -> dict:
+    """Errored and incorrect runs, and failed and attempted operations, of one side."""
+    done = [r[side] for r in runs if "metrics" in r[side]]
+    return {"runs": len(runs), "errored": len(runs) - len(done),
+            "incorrect": sum(not r["correct"] for r in done),
+            "failed": sum(r["failed"] for r in done),
+            "attempted": sum(r["attempted"] for r in done)}
+
+
 def summarize(runs: list[dict], name: str, better: str) -> dict:
-    """Median and quartiles per side, and the pairs the head won, for one metric."""
+    """Median and quartiles per side, and the pairs the head won, for one metric.
+
+    Only pairs in which both runs are ``usable`` count.
+    """
     pairs = [(r["base"]["metrics"][name], r["head"]["metrics"][name]) for r in runs
-             if "metrics" in r["base"] and "metrics" in r["head"]]
+             if usable(r["base"]) and usable(r["head"])]
     out: dict = {"pairs": len(pairs)}
     for k, side in enumerate(("base", "head")):
         values = [p[k] for p in pairs]
@@ -71,6 +93,17 @@ def summarize(runs: list[dict], name: str, better: str) -> dict:
     return out
 
 
+def summarize_workload(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """The checks of both sides and the summary of every end-to-end metric."""
+    return {
+        "checks": {side: checks(runs, side) for side in ("base", "head")},
+        "metrics": {m["name"]: dict(unit=m["unit"], better=m["better"],
+                                    **summarize(runs, m["name"], m["better"]))
+                    for m in end_to_end},
+        "runs": runs,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base-rev", required=True, help="revision measured as the base")
@@ -78,8 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
     ap.add_argument("--seeds", nargs="+", type=int, default=list(range(1, 11)),
                     help="one pair of runs per workload and seed")
-    ap.add_argument("--seconds", type=float, help="run length; default BENCHMARK.json's")
-    ap.add_argument("--out", required=True)
+    ap.add_argument("--out", required=True, help="JSON list of reports, appended to")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -90,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             commits[side] = export(rev, dirs[side])
         with open(os.path.join(dirs["head"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
-        seconds = args.seconds or bench["run_seconds"]
+        seconds = bench["run_seconds"]
         workloads = args.workloads or [w["name"] for w in bench["workloads"]]
 
         report: dict = {
@@ -113,15 +145,20 @@ def main(argv: list[str] | None = None) -> int:
                     run[side] = run_once(dirs[side], workload, seed, seconds)
                     print(f"{workload} seed={seed} {side}: {json.dumps(run[side])}", flush=True)
                 runs.append(run)
-            report["workloads"][workload] = {
-                "metrics": {m["name"]: dict(unit=m["unit"], better=m["better"],
-                                            **summarize(runs, m["name"], m["better"]))
-                            for m in bench["end_to_end"]},
-                "runs": runs,
-            }
+            report["workloads"][workload] = summarize_workload(runs, bench["end_to_end"])
+    reports = []
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            reports = json.load(fh)
+    reports.append(report)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
+        json.dump(reports, fh, indent=1)
         fh.write("\n")
+    bad = {f"{w} {side}": c for w, s in report["workloads"].items()
+           for side, c in s["checks"].items() if c["errored"] or c["incorrect"]}
+    if bad:
+        print(f"runs errored or were incorrect: {bad}", file=sys.stderr)
+        return 1
     return 0
 
 

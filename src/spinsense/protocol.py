@@ -379,10 +379,7 @@ def _spin1_scanner(d: np.ndarray, tau: np.ndarray, chunk_rows: int):
     return scan
 
 
-def _spin1_rates(
-    noise: OUNoise, tau_search: config.YieldSearchConfig,
-    chunk_rows: int = config.StateSearchConfig.chunk_rows,
-):
+def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig, chunk_rows: int):
     """The spin-1 yield rate of many (theta, phi) states at one noise point.
 
     Returns the ``_spin1_scanner`` of the tau scan, a function that maps

@@ -467,7 +467,8 @@ class TestStateOptimization:
         noise = OUNoise(1.0, tau_c)
         pairs = np.array([(np.pi / 4, np.pi / 2), (0.3, 1.2), (1.1, 0.4), (0.02, 1.5),
                           (1.5, 0.05), (0.9, 0.7)])
-        _, rates, unbracketed = protocol._spin1_rates(noise, config.YieldSearchConfig())
+        _, rates, unbracketed = protocol._spin1_rates(
+            noise, config.YieldSearchConfig(), config.StateSearchConfig().chunk_rows)
         batched = rates(pairs[:, 0], pairs[:, 1])
         assert unbracketed == [0]
         # the maximum of F/tau over the scan window [T2/100, 100 T2], on dense grids
@@ -480,7 +481,8 @@ class TestStateOptimization:
     def test_batched_rate_does_not_depend_on_the_batch(self):
         # a row solved alone equals the same row inside a starts x 5 x 5 batch
         noise = OUNoise(1.0, 1e-3)
-        _, rates, _ = protocol._spin1_rates(noise, config.YieldSearchConfig())
+        _, rates, _ = protocol._spin1_rates(
+            noise, config.YieldSearchConfig(), config.StateSearchConfig().chunk_rows)
         rng = np.random.default_rng(7)
         theta, phi = rng.uniform(1e-9, np.pi / 2, size=(2, 5, 25))
         batch = rates(theta, phi)
@@ -514,7 +516,8 @@ class TestStateOptimization:
         # the coarse ranking, rebuilt from the same scan
         th, ph = np.meshgrid((np.arange(n) + 0.5) * cell, (np.arange(n) + 0.5) * cell,
                              indexing="ij")
-        scan, _, _ = protocol._spin1_rates(noise, config.YieldSearchConfig())
+        scan, _, _ = protocol._spin1_rates(
+            noise, config.YieldSearchConfig(), config.StateSearchConfig().chunk_rows)
         _, coarse = scan(*_spin1_coefficients(th.ravel(), ph.ravel()))
         coarse = np.pad(coarse.reshape(n, n), 1, constant_values=-np.inf)
         cells = [(round(theta / cell - 0.5), round(phi / cell - 0.5))
