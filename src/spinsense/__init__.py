@@ -20,7 +20,6 @@ from .ou_noise import (
     OUNoise,
     RegimeKind,
     chi,
-    chi_limit,
     classify,
     dd_chi,
     dd_t2,
@@ -42,50 +41,31 @@ from .protocol import (
     yield_rate_asymptotic,
 )
 from .qfi import (
-    QFIMethod,
-    QFIResult,
     drho_domega,
     ghz_qfi_values,
-    min_error,
     qfi_generic,
-    qfi_noisefree_ghz,
-    qfi_noisy_ghz,
-    qfi_spin1_closed,
     spin1_qfi_values,
 )
 from .spin_ops import (
-    DensityMatrix,
-    PureState,
-    Spin1Params,
     SpinQuantumNumber,
     dephase,
-    evolve_noisefree,
-    fidelity,
     ghz_like_state,
-    spin1_param_state,
-    sz_operator,
 )
 
 __all__ = [
     "DDProfile",
-    "DensityMatrix",
     "EstimationRun",
     "ExponentFit",
     "McCoherence",
     "NoiseRegime",
     "OUNoise",
-    "PureState",
-    "QFIMethod",
-    "QFIResult",
     "RegimeKind",
-    "Spin1Params",
     "SpinQuantumNumber",
     "StateOptResult",
     "SweepTable",
     "YieldMethod",
     "YieldResult",
     "chi",
-    "chi_limit",
     "classical_fisher",
     "classify",
     "dd_chi",
@@ -93,25 +73,17 @@ __all__ = [
     "dd_t2",
     "dephase",
     "drho_domega",
-    "evolve_noisefree",
-    "fidelity",
     "fit_loglog_exponent",
     "ghz_like_state",
     "ghz_qfi_values",
     "mc_coherence",
-    "min_error",
     "optimize_initial_state_spin1",
     "outcome_probability",
     "qfi_generic",
-    "qfi_noisefree_ghz",
-    "qfi_noisy_ghz",
-    "qfi_spin1_closed",
     "sample_ou_paths",
     "simulate_and_estimate",
-    "spin1_param_state",
     "spin1_qfi_values",
     "sweep",
-    "sz_operator",
     "t2",
     "yield_rate",
     "yield_rate_asymptotic",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # Classification thresholds on the dimensionless memory parameter 2*S*b*tau_c.
 # Chosen so the asymptotic closed forms hold to ~2% at the boundaries.
 MARKOVIAN_BELOW = 0.1
@@ -33,24 +31,21 @@ MC_DT_RESOLUTION = 20.0
 RNG_ALGORITHM = "PCG64 (numpy default_rng, block-partitioned seeds)"
 
 
-@dataclass(frozen=True)
-class YieldSearchConfig:
-    """Log-spaced tau scan of the spin-1 yield rate, whose best point and two
-    neighbours bracket the root refinement.  GHZ optima need no scan."""
+# Spin-1 yield rate: a log-spaced tau scan of SPIN1_TAU_POINTS points over
+# [T2 * SPIN1_TAU_LO, T2 * SPIN1_TAU_HI], whose best point and two neighbours
+# bracket the root refinement.  GHZ optima need no scan.
+SPIN1_TAU_LO = 0.01
+SPIN1_TAU_HI = 100.0
+SPIN1_TAU_POINTS = 200
 
-    tau_lo_factor: float = 0.01   # scan starts at tau = T2 * tau_lo_factor
-    tau_hi_factor: float = 100.0
-    grid_points: int = 200
-
-
-@dataclass(frozen=True)
-class StateSearchConfig:
-    """Grid plus nested-grid settings for the spin-1 initial-state optimization."""
-
-    grid_size: int = 64           # grid_size x grid_size over (Theta, Phi)
-    refine_starts: int = 5        # at most this many distinct grid peaks refined together
-    xatol: float = 1e-6           # refinement stops below this angle half-width
-    # state rows per chunk of the tau scan; one search allocates two float
-    # buffers of rows x 200 tau points (0.4 MB each at 256), which hold each
-    # chunk's numerator and denominator of F/tau and which every chunk reuses
-    chunk_rows: int = 256
+# Spin-1 initial-state search: a STATE_GRID_SIZE x STATE_GRID_SIZE grid over
+# (Theta, Phi), whose best distinct peaks (at most STATE_REFINE_STARTS) are
+# refined together on nested grids until the angle half-width is below
+# STATE_XATOL.
+STATE_GRID_SIZE = 64
+STATE_REFINE_STARTS = 5
+STATE_XATOL = 1e-6
+# State rows per chunk of the tau scan; one search allocates two float buffers
+# of rows x SPIN1_TAU_POINTS (0.4 MB each at 256), which hold each chunk's
+# numerator and denominator of F/tau and which every chunk reuses.
+STATE_CHUNK_ROWS = 256

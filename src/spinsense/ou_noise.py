@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -109,18 +109,6 @@ def chi(noise: OUNoise, tau) -> float | np.ndarray:
     if np.any(t < 0):
         raise ValueError("tau must be nonnegative")
     out = _chi(noise.b, noise.tau_c, t)
-    return float(out) if out.ndim == 0 else out
-
-
-def chi_limit(noise: OUNoise, tau, regime: Literal["short", "long"]) -> float | np.ndarray:
-    """Asymptote of chi: b^2 tau^2 / 2 (short) or b^2 tau_c tau (long)."""
-    t = np.asarray(tau, dtype=float)
-    if regime == "short":
-        out = 0.5 * noise.b**2 * t**2
-    elif regime == "long":
-        out = noise.b**2 * noise.tau_c * t
-    else:
-        raise ValueError(f"regime must be 'short' or 'long', got {regime!r}")
     return float(out) if out.ndim == 0 else out
 
 

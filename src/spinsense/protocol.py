@@ -115,9 +115,9 @@ class StateOptResult:
     fidelity_with_ghz: float
     # solver diagnostics: rate rows solved (1 at the GHZ point plus
     # passes x starts x 25), the nested-grid passes, (theta, phi) of each start
-    # (the distinct coarse peaks, at most refine_starts) with the rate it ended
-    # on, whether no start beat the GHZ point, and the rate rows whose scan
-    # bracket held no root (they keep their scan point)
+    # (the distinct coarse peaks, at most config.STATE_REFINE_STARTS) with the
+    # rate it ended on, whether no start beat the GHZ point, and the rate rows
+    # whose scan bracket held no root (they keep their scan point)
     rate_evaluations: int = 0
     starts: tuple[tuple[float, float, float], ...] = ()
     ghz_won: bool = False
@@ -379,7 +379,7 @@ def _spin1_scanner(d: np.ndarray, tau: np.ndarray, chunk_rows: int):
     return scan
 
 
-def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig, chunk_rows: int):
+def _spin1_rates(noise: OUNoise):
     """The spin-1 yield rate of many (theta, phi) states at one noise point.
 
     Returns the ``_spin1_scanner`` of the tau scan, a function that maps
@@ -396,14 +396,13 @@ def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig, chunk_row
     FloatingPointError.
     """
     t2_val = t2(SpinQuantumNumber(2), noise)
-    tau_grid = np.logspace(np.log10(t2_val * tau_search.tau_lo_factor),
-                           np.log10(t2_val * tau_search.tau_hi_factor),
-                           tau_search.grid_points)
+    tau_grid = np.logspace(np.log10(t2_val * config.SPIN1_TAU_LO),
+                           np.log10(t2_val * config.SPIN1_TAU_HI), config.SPIN1_TAU_POINTS)
     with np.errstate(all="ignore"):
         chi_grid = chi(noise, tau_grid)
     if not np.all(np.isfinite(chi_grid)):
         raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite (chi overflows)")
-    scan = _spin1_scanner(np.exp(-2.0 * chi_grid), tau_grid, chunk_rows)
+    scan = _spin1_scanner(np.exp(-2.0 * chi_grid), tau_grid, config.STATE_CHUNK_ROWS)
     log_grid, last = np.log(tau_grid), len(tau_grid) - 1
     b, tau_c = noise.b, noise.tau_c
     unbracketed: list[int] = []
@@ -432,28 +431,23 @@ def _spin1_rates(noise: OUNoise, tau_search: config.YieldSearchConfig, chunk_row
     return scan, rates, unbracketed
 
 
-def optimize_initial_state_spin1(
-    noise: OUNoise,
-    *,
-    search: config.StateSearchConfig = config.StateSearchConfig(),
-    tau_search: config.YieldSearchConfig = config.YieldSearchConfig(),
-) -> StateOptResult:
+def optimize_initial_state_spin1(noise: OUNoise) -> StateOptResult:
     """Best spin-1 initial state for the yield rate, against the GHZ baseline.
 
     Ranks a grid over the two amplitude angles (the relative phases do not
     enter the QFI) by the best F/tau on the tau scan, two small matrix
-    products per chunk of ``search.chunk_rows`` cells; refines the best
-    distinct peaks of that grid (at most ``search.refine_starts`` cells, each
-    at least its 8 neighbours) together on nested 5 x 5 angle grids (one
+    products per chunk of ``config.STATE_CHUNK_ROWS`` cells; refines the best
+    distinct peaks of that grid (at most ``config.STATE_REFINE_STARTS`` cells,
+    each at least its 8 neighbours) together on nested 5 x 5 angle grids (one
     batched rate solve per pass, from a half-width of one cell down to
-    ``xatol``); and reports the overlap of the winner with the GHZ-like
+    ``config.STATE_XATOL``); and reports the overlap of the winner with the GHZ-like
     state after zeroing the phases of both.  The GHZ point itself is part of
     the candidate set, so r_max can never fall below r_ghz.  Each rate is
     the maximum of the spin-1 curve's F/tau, solved by ``_spin1_rates``; a
     rate that is not finite raises FloatingPointError.
     """
-    scan, rates, unbracketed = _spin1_rates(noise, tau_search, search.chunk_rows)
-    n = search.grid_size
+    scan, rates, unbracketed = _spin1_rates(noise)
+    n = config.STATE_GRID_SIZE
     cell = (math.pi / 2) / n
     angles = (np.arange(n) + 0.5) * cell  # interior of (0, pi/2)
     th, ph = np.meshgrid(angles, angles, indexing="ij")
@@ -463,9 +457,9 @@ def optimize_initial_state_spin1(
     _, coarse = scan(*_spin1_coefficients(th, ph))
 
     r_ghz = float(rates(np.array([math.pi / 4]), np.array([math.pi / 2]))[0])
-    idx = _grid_peaks(coarse.reshape(n, n), search.refine_starts)
+    idx = _grid_peaks(coarse.reshape(n, n), config.STATE_REFINE_STARTS)
     x, y, fx, passes = _grid_max_2d(
-        rates, th[idx], ph[idx], cell, (1e-9, math.pi / 2), search.xatol
+        rates, th[idx], ph[idx], cell, (1e-9, math.pi / 2), config.STATE_XATOL
     )
     best_theta, best_phi, best_rate = math.pi / 4, math.pi / 2, r_ghz
     i = int(np.argmax(fx))

@@ -7,8 +7,8 @@ Three routes are provided and cross-validated against each other:
 * a closed form for the general four-angle spin-1 state, written as a ratio
   of trigonometric polynomials so it stays finite at every angle;
 * a generic mixed-state evaluator that diagonalizes rho and sums the
-  symmetric-logarithmic-derivative series, used as the independent oracle;
-  it runs on one matrix (``qfi_generic``) or on stacks (``_sld_sum``).
+  symmetric-logarithmic-derivative series (``qfi_generic``), used as the
+  independent oracle; it runs on stacks of matrices, one value per matrix.
 
 Where the closed forms and the generic route disagree beyond tolerance, the
 generic route is authoritative.
@@ -16,43 +16,13 @@ generic route is authoritative.
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import config
 from .ou_noise import OUNoise, chi
-from .spin_ops import (
-    DensityMatrix,
-    PureState,
-    Spin1Params,
-    SpinQuantumNumber,
-    _check_density,
-    _delta_m,
-    dephase,
-)
+from .spin_ops import SpinQuantumNumber, _check_density, _delta_m, dephase
 
 _DRHO_HERMITICITY_TOL = 1e-10
-
-
-class QFIMethod(enum.Enum):
-    CLOSED_FORM_GHZ = "closed_form_ghz"
-    CLOSED_FORM_SPIN1 = "closed_form_spin1"
-    GENERIC_SLD = "generic_sld"
-
-
-@dataclass(frozen=True)
-class QFIResult:
-    """Fisher information for the angular frequency (units time^2)."""
-
-    value: float
-    method: QFIMethod
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"QFI must be nonnegative, got {self.value!r}")
 
 
 def _ghz_values(two_s, chi_values, t):
@@ -65,20 +35,6 @@ def ghz_qfi_values(s: SpinQuantumNumber, noise: OUNoise, tau) -> float | np.ndar
     t = np.asarray(tau, dtype=float)
     out = _ghz_values(s.two_s, chi(noise, t), t)
     return float(out) if out.ndim == 0 else out
-
-
-def qfi_noisefree_ghz(s: SpinQuantumNumber, tau: float) -> QFIResult:
-    """Maximal noise-free QFI of the GHZ-like protocol, (2S)^2 tau^2."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return QFIResult((s.two_s * tau) ** 2, QFIMethod.CLOSED_FORM_GHZ)
-
-
-def qfi_noisy_ghz(s: SpinQuantumNumber, noise: OUNoise, tau: float) -> QFIResult:
-    """GHZ-protocol QFI including dephasing; underflows gracefully to 0."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    return QFIResult(float(ghz_qfi_values(s, noise, tau)), QFIMethod.CLOSED_FORM_GHZ)
 
 
 def _spin1_coefficients(theta, phi):
@@ -162,52 +118,27 @@ def spin1_qfi_values(theta, phi, chi_value, tau) -> np.ndarray:
     return _spin1_from_coefficients(p, q, np.exp(-2.0 * chi_value), tau * tau)
 
 
-def qfi_spin1_closed(p: Spin1Params, chi_value: float, tau: float) -> QFIResult:
-    """Closed-form spin-1 QFI at dephasing strength chi and evolution time tau.
-
-    Depends on the state only through theta and phi; the relative phases
-    commute with both the signal and the dephasing and drop out.  The
-    dephasing exponent is always evaluated at the elapsed time tau.
-    """
-    if chi_value < 0:
-        raise ValueError("chi must be nonnegative")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    value = float(spin1_qfi_values(p.theta, p.phi, chi_value, tau))
-    return QFIResult(value, QFIMethod.CLOSED_FORM_SPIN1)
-
-
-def drho_domega(psi: PureState, omega: float, tau: float, chi_value: float) -> np.ndarray:
-    """Analytic derivative of the dephased state with respect to omega.
+def drho_domega(amps: np.ndarray, omega, tau, chi_value) -> np.ndarray:
+    """Analytic derivative of ``dephase(amps, omega, tau, chi_value)`` with
+    respect to omega, on the same (..., d) rows.
 
     Entry (m, n) of the dephased matrix carries the phase e^{-i(m-n) omega
     tau}, so the derivative multiplies it by -i(m-n) tau; Hermitian and
     traceless by construction.
     """
-    rho = dephase(psi, omega, tau, chi_value).entries
-    dm = _delta_m(rho.shape[0])
-    return rho * (-1j * dm * tau)
+    rho = dephase(amps, omega, tau, chi_value)
+    tau = np.asarray(tau, dtype=float)[..., None, None]
+    return rho * (-1j * _delta_m(rho.shape[-1]) * tau)
 
 
-def qfi_generic(
-    rho: DensityMatrix,
-    drho: np.ndarray,
-    cutoff: float = config.SLD_EIGENVALUE_CUTOFF,
-) -> QFIResult:
-    """Mixed-state QFI from the eigendecomposition of rho.
+def qfi_generic(rho: np.ndarray, drho: np.ndarray, cutoff: float = config.SLD_EIGENVALUE_CUTOFF):
+    """Mixed-state QFI of each matrix of (..., d, d) stacks of rho and drho.
 
     F = sum over eigenpairs of 2 |<i| drho |j>|^2 / (p_i + p_j), skipping
     pairs with p_i + p_j <= cutoff.  Works for any parameterization; serves
-    as the independent oracle for the closed forms.  It is the one-matrix
-    case of ``_sld_sum``, the stacked route of the oracle suite.
+    as the independent oracle for the closed forms.  One batched eigh, whose
+    eigenvalues serve the density checks of rho (``_check_density``).
     """
-    value = float(_sld_sum(rho.entries, np.asarray(drho, dtype=complex), cutoff))
-    return QFIResult(value, QFIMethod.GENERIC_SLD)
-
-
-def _sld_sum(rho: np.ndarray, drho: np.ndarray, cutoff: float = config.SLD_EIGENVALUE_CUTOFF):
-    """``qfi_generic``'s series on (..., d, d) stacks of rho and drho, one value
-    per matrix.  One batched eigh; its eigenvalues serve the density checks."""
     if np.max(np.abs(drho - drho.conj().swapaxes(-1, -2))) > _DRHO_HERMITICITY_TOL:
         raise ValueError("drho is not Hermitian")
     p, u = np.linalg.eigh(rho)
@@ -217,12 +148,3 @@ def _sld_sum(rho: np.ndarray, drho: np.ndarray, cutoff: float = config.SLD_EIGEN
     keep = denom > cutoff
     terms = 2.0 * np.abs(m) ** 2 * keep / np.where(keep, denom, 1.0)
     return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
-
-
-def min_error(f: QFIResult, nu: int) -> float:
-    """Smallest achievable frequency error after nu repetitions, 1/sqrt(nu F)."""
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu!r}")
-    if f.value <= 0:
-        raise ValueError("QFI must be positive to bound the error")
-    return 1.0 / math.sqrt(nu * f.value)

@@ -3,8 +3,8 @@
 States and operators are indexed by the magnetic quantum number
 m = S, S-1, ..., -S (row 0 is m = +S).  The field couples through S_z only,
 so free evolution is a diagonal phase and pure dephasing damps the (m, n)
-coherence by exp(-(m-n)^2 * chi).  All types are immutable values and all
-operations are pure functions.
+coherence by exp(-(m-n)^2 * chi).  States are plain amplitude arrays with m
+on the last axis, and every operation takes stacks of them.
 
 Units: the gyromagnetic ratio is fixed to 1, so the estimated parameter is
 the angular frequency omega (equal to the field magnitude).
@@ -77,77 +77,19 @@ class SpinQuantumNumber:
         return (self.two_s - 2.0 * np.arange(self.dimension)) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized complex amplitude vector over the S_z eigenbasis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        _check_norm(amps)
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.amplitudes)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, trace-one, positive-semidefinite matrix over the S_z basis."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-        _check_density(rho)
-        rho = rho.copy()
-        rho.flags.writeable = False
-        object.__setattr__(self, "entries", rho)
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class Spin1Params:
-    """Four-angle parameterization of a general pure spin-1 state.
-
-    Amplitudes on m = (1, 0, -1) are
-    (cos Theta, e^{i lambda1} sin Theta cos Phi, e^{i lambda2} sin Theta sin Phi),
-    normalized for every parameter value by construction.
-    """
-
-    theta: float
-    phi: float
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-
-
-def sz_operator(s: SpinQuantumNumber) -> np.ndarray:
-    """Diagonal S_z matrix with entries m = S, S-1, ..., -S."""
-    return np.diag(s.m_values())
-
-
-def ghz_like_state(s: SpinQuantumNumber) -> PureState:
-    """Equal superposition of the extremal S_z eigenstates, (|S> + |-S>)/sqrt(2)."""
+def ghz_like_state(s: SpinQuantumNumber) -> np.ndarray:
+    """Amplitudes of the equal superposition of the extremal S_z eigenstates,
+    (|S> + |-S>)/sqrt(2)."""
     amps = np.zeros(s.dimension, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return PureState(amps)
-
-
-def spin1_param_state(p: Spin1Params) -> PureState:
-    return PureState(_spin1_amplitudes(p.theta, p.phi, p.lambda1, p.lambda2))
+    return amps
 
 
 def _spin1_amplitudes(theta, phi, lambda1, lambda2) -> np.ndarray:
-    """Spin1Params amplitudes for arrays of angles, m = (1, 0, -1) on the last axis."""
+    """Amplitudes of the four-angle spin-1 state family for arrays of angles,
+    m = (1, 0, -1) on the last axis:
+    (cos theta, e^{i lambda1} sin theta cos phi, e^{i lambda2} sin theta sin phi),
+    normalized for every parameter value by construction."""
     return np.stack(np.broadcast_arrays(
         np.cos(theta),
         np.exp(1j * lambda1) * np.sin(theta) * np.cos(phi),
@@ -161,27 +103,17 @@ def _delta_m(dim: int) -> np.ndarray:
     return (idx[None, :] - idx[:, None]).astype(float)
 
 
-def evolve_noisefree(psi: PureState, omega: float, tau: float) -> PureState:
-    """Apply exp(-i omega tau S_z): amplitude at m picks up the phase -m omega tau."""
-    m = (len(psi.amplitudes) - 1 - 2.0 * np.arange(len(psi.amplitudes))) / 2.0
-    return PureState(psi.amplitudes * np.exp(-1j * m * omega * tau))
-
-
-def dephase(psi: PureState, omega: float, tau: float, chi: float) -> DensityMatrix:
+def dephase(amps: np.ndarray, omega, tau, chi) -> np.ndarray:
     """Evolved state averaged over Gaussian phase noise of half-variance chi.
 
-    Entry (m, n) of the result is psi_m psi_n^* e^{-i(m-n) omega tau}
-    e^{-(m-n)^2 chi}: populations are untouched while each coherence is
-    damped by the square of its quantum-number distance.  The damping kernel
-    is positive definite, so the output stays a valid density matrix.
+    Amplitude rows (..., d) give (..., d, d) matrices; omega, tau and chi are
+    scalars or one value per row.  Entry (m, n) of a matrix is
+    psi_m psi_n^* e^{-i(m-n) omega tau} e^{-(m-n)^2 chi}: populations are
+    untouched while each coherence is damped by the square of its
+    quantum-number distance.  The damping kernel is positive definite, so a
+    normalized row gives a valid density matrix.  Checks each evolved row's
+    norm; the density checks are the caller's (``_check_density``).
     """
-    return DensityMatrix(_dephase_stack(psi.amplitudes[None], omega, tau, chi)[0])
-
-
-def _dephase_stack(amps: np.ndarray, omega, tau, chi) -> np.ndarray:
-    """``dephase`` on stacks: amplitude rows (n, d) with omega, tau and chi per
-    row (or scalars) give (n, d, d) matrices.  Checks each evolved row's norm;
-    the density checks are the caller's (``_check_density``)."""
     omega, tau, chi = (np.asarray(a, dtype=float)[..., None] for a in (omega, tau, chi))
     if np.any(chi < 0):
         raise ValueError(f"chi must be nonnegative, got {float(np.min(chi))!r}")
@@ -189,9 +121,4 @@ def _dephase_stack(amps: np.ndarray, omega, tau, chi) -> np.ndarray:
     evolved = amps * np.exp(-1j * m * omega * tau)
     _check_norm(evolved)
     dm = _delta_m(amps.shape[-1])
-    return evolved[:, :, None] * evolved.conj()[:, None, :] * np.exp(-(dm**2) * chi[..., None])
-
-
-def fidelity(a: PureState, b: PureState) -> float:
-    """Absolute value of the inner product, |<a|b>|."""
-    return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)))
+    return evolved[..., :, None] * evolved.conj()[..., None, :] * np.exp(-(dm**2) * chi[..., None])

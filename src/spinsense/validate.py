@@ -23,8 +23,8 @@ from . import config
 from .estimation import classical_fisher, simulate_and_estimate
 from .ou_noise import DDProfile, OUNoise, _chi, chi, classify, mc_coherence
 from .protocol import dd_scaling, yield_rate
-from .qfi import _ghz_values, _sld_sum, qfi_noisy_ghz, spin1_qfi_values
-from .spin_ops import SpinQuantumNumber, _delta_m, _dephase_stack, _spin1_amplitudes, ghz_like_state
+from .qfi import _ghz_values, ghz_qfi_values, qfi_generic, spin1_qfi_values
+from .spin_ops import SpinQuantumNumber, _delta_m, _spin1_amplitudes, dephase, ghz_like_state
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def _sld_values(amps, omega, tau, chi_val, counts: dict) -> np.ndarray:
     out = np.empty(n)
     for lo in range(0, n, _SLD_CHUNK_ROWS):
         rows = slice(lo, lo + _SLD_CHUNK_ROWS)
-        rho = _dephase_stack(amps[rows], omega[rows], tau[rows], chi_val[rows])
-        out[rows] = _sld_sum(rho, rho * (-1j * _delta_m(dim) * tau[rows, None, None]))
+        rho = dephase(amps[rows], omega[rows], tau[rows], chi_val[rows])
+        out[rows] = qfi_generic(rho, rho * (-1j * _delta_m(dim) * tau[rows, None, None]))
     counts[str(dim)] = counts.get(str(dim), 0) + n
     return out
 
@@ -146,7 +146,7 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     generic = np.empty(n_tuples)
     for k in np.unique(two_s):
         at = np.flatnonzero(two_s == k)
-        amps = np.tile(ghz_like_state(SpinQuantumNumber(int(k))).amplitudes, (len(at), 1))
+        amps = np.tile(ghz_like_state(SpinQuantumNumber(int(k))), (len(at), 1))
         generic[at] = _sld_values(amps, omega[at], tau[at], chi_val[at], counts)
     worst_ghz = _worst_rel(generic, _ghz_values(two_s, chi_val, tau))
 
@@ -181,7 +181,7 @@ def estimator_suite(seed: int) -> list[CheckResult]:
     tau = yield_rate(s, noise).tau_opt
     omega = math.pi / (2.0 * s.two_s * tau)
     cfi = classical_fisher(s, noise, tau, omega)
-    qfi = qfi_noisy_ghz(s, noise, tau).value
+    qfi = ghz_qfi_values(s, noise, tau)
     # 4000 repetitions scatter std/CRB by ~1.1%, well inside the 5% bound
     run = simulate_and_estimate(s, noise, tau, omega, nu=10_000, seed=seed, repetitions=4000)
     _DIAGNOSTICS.get({}).update(

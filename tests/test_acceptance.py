@@ -18,7 +18,6 @@ from spinsense import (
     classical_fisher,
     ghz_qfi_values,
     optimize_initial_state_spin1,
-    qfi_noisy_ghz,
     simulate_and_estimate,
     sweep,
     yield_rate,
@@ -162,7 +161,7 @@ def test_criterion_6_estimation_chain_saturation():
     tau = yield_rate(s, noise).tau_opt
     omega = (math.pi / 2) / (s.two_s * tau)
     cfi = classical_fisher(s, noise, tau, omega)
-    qfi = qfi_noisy_ghz(s, noise, tau).value
+    qfi = ghz_qfi_values(s, noise, tau)
     equality = abs(cfi - qfi) / qfi
     run = simulate_and_estimate(s, noise, tau, omega, nu=10_000, seed=11, repetitions=500)
     ratio = run.sample_std / run.crb

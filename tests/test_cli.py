@@ -232,7 +232,7 @@ class TestOptimizeStateCommand:
         assert code == 0
         points = json.load(open(tmp_path / "opt.manifest.json"))["diagnostics"]["points"]
         assert [p["tau_c"] for p in points] == [float(r[0]) for r in read_csv(out)[1]]
-        starts = config.StateSearchConfig().refine_starts
+        starts = config.STATE_REFINE_STARTS
         for p, row in zip(points, read_csv(out)[1]):
             assert 1 <= len(p["starts"]) <= starts
             assert all(0 < s["theta"] < math.pi / 2 and 0 < s["phi"] < math.pi / 2

@@ -13,7 +13,7 @@ from spinsense import (
     dephase,
     ghz_like_state,
     outcome_probability,
-    qfi_noisy_ghz,
+    ghz_qfi_values,
     simulate_and_estimate,
     yield_rate,
 )
@@ -34,7 +34,7 @@ def finite_difference_cfi(s, noise, tau, omega, h=1e-6):
 
 def ghz_parity_projectors(s):
     """Projectors onto (|S> +- |-S>)/sqrt(2), the two outcomes of the parity readout."""
-    plus = ghz_like_state(s).amplitudes
+    plus = ghz_like_state(s)
     minus = plus.copy()
     minus[-1] *= -1.0
     return np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
@@ -85,7 +85,7 @@ class TestClassicalFisher:
         s, noise, tau = SpinQuantumNumber(8), OUNoise(1.0, 0.1), 0.2
         omega = (math.pi / 2) / (s.two_s * tau)
         cfi = classical_fisher(s, noise, tau, omega)
-        qfi = qfi_noisy_ghz(s, noise, tau).value
+        qfi = ghz_qfi_values(s, noise, tau)
         assert abs(cfi - qfi) <= 1e-12 * qfi
 
     def test_zero_at_zero_phase_with_damping(self):
@@ -107,7 +107,7 @@ class TestClassicalFisher:
 
     def test_bounded_by_qfi_everywhere(self):
         s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.15), 0.3
-        qfi = qfi_noisy_ghz(s, noise, tau).value
+        qfi = ghz_qfi_values(s, noise, tau)
         for frac in np.linspace(0.02, 0.98, 45):
             omega = (math.pi * frac) / (s.two_s * tau)
             assert classical_fisher(s, noise, tau, omega) <= qfi * (1 + 1e-12)
@@ -117,14 +117,14 @@ class TestBinaryMeasurement:
     def test_complement_has_zero_probability_on_protocol_states(self):
         s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.3
         proj_plus, proj_minus = ghz_parity_projectors(s)
-        rho = dephase(ghz_like_state(s), 0.7, tau, chi(noise, tau)).entries
+        rho = dephase(ghz_like_state(s), 0.7, tau, chi(noise, tau))
         rest = np.eye(s.dimension) - proj_plus - proj_minus
         assert abs(np.trace(rest @ rho)) < 1e-14
 
     def test_projector_probabilities_match_closed_form(self):
         s, noise, tau, omega = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.3, 0.9
         proj_plus, proj_minus = ghz_parity_projectors(s)
-        rho = dephase(ghz_like_state(s), omega, tau, chi(noise, tau)).entries
+        rho = dephase(ghz_like_state(s), omega, tau, chi(noise, tau))
         p_plus, p_minus = outcome_probability(s, noise, tau, omega)
         assert np.trace(proj_plus @ rho).real == pytest.approx(p_plus, rel=1e-12)
         assert np.trace(proj_minus @ rho).real == pytest.approx(p_minus, rel=1e-12)

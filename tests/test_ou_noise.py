@@ -13,7 +13,6 @@ from spinsense import (
     RegimeKind,
     SpinQuantumNumber,
     chi,
-    chi_limit,
     classify,
     dd_chi,
     dd_t2,
@@ -94,29 +93,20 @@ class TestChi:
 
 
 class TestChiLimit:
-    def test_short_example(self):
-        assert chi_limit(OUNoise(1.0, 1.0), 0.01, "short") == pytest.approx(5e-5)
-
-    def test_long_example(self):
-        assert chi_limit(OUNoise(1.0, 0.1), 10.0, "long") == pytest.approx(1.0)
-
     def test_asymptote_accuracy_windows(self):
         # leading short-time error term is x/3, so the 1% window ends at
-        # x = 0.03 (at x = 0.05 the deviation is ~1.7%)
+        # x = 0.03 (at x = 0.05 the deviation is ~1.7%); the asymptotes are
+        # b^2 tau^2 / 2 (short) and b^2 tau_c tau (long), here with b = tau_c = 1
         noise = OUNoise(1.0, 1.0)
         for x in np.logspace(-4, np.log10(0.029), 20):
             exact = chi(noise, x)
-            assert abs(exact - chi_limit(noise, x, "short")) / exact < 0.01
+            assert abs(exact - 0.5 * x**2) / exact < 0.01
         for x in np.logspace(np.log10(0.03), np.log10(0.05), 5):
             exact = chi(noise, x)
-            assert abs(exact - chi_limit(noise, x, "short")) / exact < 0.02
+            assert abs(exact - 0.5 * x**2) / exact < 0.02
         for x in np.logspace(np.log10(200), 5, 20):
             exact = chi(noise, x)
-            assert abs(exact - chi_limit(noise, x, "long")) / exact < 0.01
-
-    def test_rejects_unknown_regime(self):
-        with pytest.raises(ValueError):
-            chi_limit(OUNoise(1.0, 1.0), 1.0, "medium")
+            assert abs(exact - x) / exact < 0.01
 
 
 class TestT2:
@@ -360,16 +350,14 @@ class TestDDChi:
         noise = OUNoise(1.2, 1.0)
         profile = DDProfile(2, shape_c=2.0)
         for x in np.logspace(-4, -2, 10):
-            assert dd_chi(noise, profile, x) == pytest.approx(
-                chi_limit(noise, x, "short"), rel=0.01
-            )
+            assert dd_chi(noise, profile, x) == pytest.approx(0.5 * noise.b**2 * x**2, rel=0.01)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 2.5])
     def test_long_time_matches_free_limit(self, n):
         noise = OUNoise(0.8, 0.3)
         tau = 1e3 * noise.tau_c
         assert dd_chi(noise, DDProfile(n), tau) == pytest.approx(
-            chi_limit(noise, tau, "long"), rel=0.01
+            noise.b**2 * noise.tau_c * tau, rel=0.01
         )
 
     def test_n2_agrees_with_exact_chi_in_asymptotic_regions(self):

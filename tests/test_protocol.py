@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spinsense import (
     DDProfile,
-    Spin1Params,
     OUNoise,
     RegimeKind,
     SpinQuantumNumber,
@@ -18,11 +17,12 @@ from spinsense import (
     chi,
     dd_chi,
     dd_scaling,
+    dephase,
+    drho_domega,
     fit_loglog_exponent,
     ghz_qfi_values,
     optimize_initial_state_spin1,
-    qfi_spin1_closed,
-    spin1_param_state,
+    qfi_generic,
     spin1_qfi_values,
     sweep,
     t2,
@@ -32,6 +32,7 @@ from spinsense import (
 from spinsense import config, protocol
 from spinsense.ou_noise import _dd_law, _free_law, _illinois, _Law, _law_roots
 from spinsense.qfi import _spin1_coefficients, _spin1_from_coefficients
+from spinsense.spin_ops import _spin1_amplitudes
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
 
@@ -467,8 +468,7 @@ class TestStateOptimization:
         noise = OUNoise(1.0, tau_c)
         pairs = np.array([(np.pi / 4, np.pi / 2), (0.3, 1.2), (1.1, 0.4), (0.02, 1.5),
                           (1.5, 0.05), (0.9, 0.7)])
-        _, rates, unbracketed = protocol._spin1_rates(
-            noise, config.YieldSearchConfig(), config.StateSearchConfig().chunk_rows)
+        _, rates, unbracketed = protocol._spin1_rates(noise)
         batched = rates(pairs[:, 0], pairs[:, 1])
         assert unbracketed == [0]
         # the maximum of F/tau over the scan window [T2/100, 100 T2], on dense grids
@@ -481,8 +481,7 @@ class TestStateOptimization:
     def test_batched_rate_does_not_depend_on_the_batch(self):
         # a row solved alone equals the same row inside a starts x 5 x 5 batch
         noise = OUNoise(1.0, 1e-3)
-        _, rates, _ = protocol._spin1_rates(
-            noise, config.YieldSearchConfig(), config.StateSearchConfig().chunk_rows)
+        _, rates, _ = protocol._spin1_rates(noise)
         rng = np.random.default_rng(7)
         theta, phi = rng.uniform(1e-9, np.pi / 2, size=(2, 5, 25))
         batch = rates(theta, phi)
@@ -497,27 +496,24 @@ class TestStateOptimization:
             assert optimize_initial_state_spin1(OUNoise(1.0, tau_c)).unbracketed == 0
 
     def test_result_diagnostics(self):
-        search = config.StateSearchConfig()
-        result = optimize_initial_state_spin1(OUNoise(1.0, 1e-3), search=search)
+        result = optimize_initial_state_spin1(OUNoise(1.0, 1e-3))
         # from one coarse cell down to xatol: (pi/2)/64 / 2**14 >= 1e-6 > (pi/2)/64 / 2**15
         assert result.passes == 15
         assert result.rate_evaluations == 1 + result.passes * len(result.starts) * 25
-        assert 1 <= len(result.starts) <= search.refine_starts
+        assert 1 <= len(result.starts) <= config.STATE_REFINE_STARTS
         assert max(r for _, _, r in result.starts) == result.r_max
         assert not result.ghz_won
         assert result.unbracketed == 0
 
     @pytest.mark.parametrize("tau_c", [1e-3, 0.2, 100.0])
     def test_starts_are_distinct_coarse_peaks(self, tau_c):
-        search = config.StateSearchConfig()
-        n, noise = search.grid_size, OUNoise(1.0, tau_c)
+        n, noise = config.STATE_GRID_SIZE, OUNoise(1.0, tau_c)
         cell = (np.pi / 2) / n
-        result = optimize_initial_state_spin1(noise, search=search)
+        result = optimize_initial_state_spin1(noise)
         # the coarse ranking, rebuilt from the same scan
         th, ph = np.meshgrid((np.arange(n) + 0.5) * cell, (np.arange(n) + 0.5) * cell,
                              indexing="ij")
-        scan, _, _ = protocol._spin1_rates(
-            noise, config.YieldSearchConfig(), config.StateSearchConfig().chunk_rows)
+        scan, _, _ = protocol._spin1_rates(noise)
         _, coarse = scan(*_spin1_coefficients(th.ravel(), ph.ravel()))
         coarse = np.pad(coarse.reshape(n, n), 1, constant_values=-np.inf)
         cells = [(round(theta / cell - 0.5), round(phi / cell - 0.5))
@@ -547,12 +543,12 @@ class TestStateOptimization:
         # the optimizer's objective is built from the phase-free closed form;
         # spot-check that states differing only by phases give the same QFI
         chi_val, tau = 0.15, 0.8
-        base = qfi_spin1_closed(Spin1Params(0.9, 0.7), chi_val, tau).value
+        base = spin1_qfi_values(0.9, 0.7, chi_val, tau)
         for l1, l2 in [(0.3, 1.1), (2.0, 4.0), (5.5, 0.2)]:
-            state = spin1_param_state(Spin1Params(0.9, 0.7, l1, l2))
-            assert np.sum(np.abs(state.amplitudes) ** 2) == pytest.approx(1.0)
-            same = qfi_spin1_closed(Spin1Params(0.9, 0.7, l1, l2),
-                                    chi_val, tau).value
+            state = _spin1_amplitudes(0.9, 0.7, l1, l2)
+            assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0)
+            same = qfi_generic(dephase(state, 0.4, tau, chi_val),
+                               drho_domega(state, 0.4, tau, chi_val))
             assert same == pytest.approx(base, rel=1e-14)
 
 

@@ -3,27 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsense import (
-    DensityMatrix,
-    PureState,
-    Spin1Params,
-    SpinQuantumNumber,
-    dephase,
-    evolve_noisefree,
-    fidelity,
-    ghz_like_state,
-    spin1_param_state,
-    sz_operator,
-)
-from spinsense.spin_ops import _check_density, _dephase_stack
+from spinsense import SpinQuantumNumber, dephase, drho_domega, ghz_like_state
+from spinsense.spin_ops import _check_density, _check_norm, _spin1_amplitudes
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def random_state(two_s: int, seed: int) -> PureState:
+def random_state(two_s: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=two_s + 1) + 1j * rng.normal(size=two_s + 1)
-    return PureState(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def evolve_noisefree(psi: np.ndarray, omega: float, tau: float) -> np.ndarray:
+    """exp(-i omega tau S_z) psi: amplitude at m picks up the phase -m omega tau."""
+    m = (len(psi) - 1 - 2.0 * np.arange(len(psi))) / 2.0
+    return psi * np.exp(-1j * m * omega * tau)
 
 
 # strategy: a normalized random state of a small spin
@@ -50,37 +45,44 @@ class TestSpinQuantumNumber:
 
 
 class TestOperators:
+    """S_z, diagonal with m = S ... -S, generates the signal: d rho/d omega = -i tau [S_z, rho]."""
+
+    @staticmethod
+    def assert_generator(two_s, sz_diagonal):
+        psi, omega, tau, chi = random_state(two_s, seed=two_s), 0.7, 1.3, 0.05
+        rho = dephase(psi, omega, tau, chi)
+        sz = np.diag(sz_diagonal)
+        np.testing.assert_allclose(drho_domega(psi, omega, tau, chi),
+                                   -1j * tau * (sz @ rho - rho @ sz), atol=1e-14)
+
     def test_sz_spin_half(self):
-        np.testing.assert_array_equal(sz_operator(SpinQuantumNumber(1)), np.diag([0.5, -0.5]))
+        self.assert_generator(1, [0.5, -0.5])
 
     def test_sz_spin_one(self):
-        np.testing.assert_array_equal(sz_operator(SpinQuantumNumber(2)), np.diag([1.0, 0.0, -1.0]))
+        self.assert_generator(2, [1.0, 0.0, -1.0])
 
     def test_sz_spin_four(self):
-        m = sz_operator(SpinQuantumNumber(8))
-        assert m.shape == (9, 9)
-        np.testing.assert_array_equal(np.diag(m), np.arange(4, -5, -1, dtype=float))
-        assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+        self.assert_generator(8, np.arange(4, -5, -1, dtype=float))
 
 
 class TestStates:
     @pytest.mark.parametrize("two_s", [1, 2, 8])
     def test_ghz_like_amplitudes(self, two_s):
-        psi = ghz_like_state(SpinQuantumNumber(two_s)).amplitudes
+        psi = ghz_like_state(SpinQuantumNumber(two_s))
         assert psi[0] == pytest.approx(INV_SQRT2)
         assert psi[-1] == pytest.approx(INV_SQRT2)
         assert np.all(psi[1:-1] == 0)
 
     def test_spin1_ghz_point(self):
-        psi = spin1_param_state(Spin1Params(np.pi / 4, np.pi / 2)).amplitudes
+        psi = _spin1_amplitudes(np.pi / 4, np.pi / 2, 0.0, 0.0)
         np.testing.assert_allclose(psi, [INV_SQRT2, 0.0, INV_SQRT2], atol=1e-15)
 
     def test_spin1_pole(self):
-        psi = spin1_param_state(Spin1Params(0.0, 0.7, 1.0, 2.0)).amplitudes
+        psi = _spin1_amplitudes(0.0, 0.7, 1.0, 2.0)
         np.testing.assert_allclose(psi, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_spin1_generic_point(self):
-        psi = spin1_param_state(Spin1Params(np.pi / 4, np.pi / 4)).amplitudes
+        psi = _spin1_amplitudes(np.pi / 4, np.pi / 4, 0.0, 0.0)
         np.testing.assert_allclose(psi, [INV_SQRT2, 0.5, 0.5], atol=1e-15)
 
     @given(
@@ -90,31 +92,31 @@ class TestStates:
         l2=st.floats(0, 2 * np.pi, allow_nan=False),
     )
     def test_spin1_always_normalized(self, theta, phi, l1, l2):
-        spin1_param_state(Spin1Params(theta, phi, l1, l2))  # constructor checks the norm
+        _check_norm(_spin1_amplitudes(theta, phi, l1, l2))
 
     def test_purestate_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="normalized"):
+            dephase(np.array([1.0, 1.0]), 0.0, 1.0, 0.0)
 
 
 class TestEvolveNoisefree:
+    """Free evolution, as dephase performs it: at chi = 0 the state stays pure."""
+
     def test_identity_at_zero(self):
         psi = random_state(4, seed=1)
-        out = evolve_noisefree(psi, 0.0, 5.0)
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes)
-        out = evolve_noisefree(psi, 3.0, 0.0)
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes)
+        pure = np.outer(psi, psi.conj())
+        np.testing.assert_allclose(dephase(psi, 0.0, 5.0, 0.0), pure)
+        np.testing.assert_allclose(dephase(psi, 3.0, 0.0, 0.0), pure)
 
     def test_ghz_half_pi_orthogonal(self):
         psi = ghz_like_state(SpinQuantumNumber(1))
-        out = evolve_noisefree(psi, np.pi, 1.0)
-        assert fidelity(psi, out) == pytest.approx(0.0, abs=1e-12)
+        overlap_sq = np.vdot(psi, dephase(psi, np.pi, 1.0, 0.0) @ psi)  # |<psi|out>|^2
+        assert abs(overlap_sq) == pytest.approx(0.0, abs=1e-24)
 
     def test_ghz_spin4_relative_phase(self):
         # omega tau = pi/8 puts relative phase 2 S omega tau = pi between m = +-4
         psi = ghz_like_state(SpinQuantumNumber(8))
-        out = evolve_noisefree(psi, np.pi / 8, 1.0).amplitudes
-        rel = out[0] * np.conj(out[-1])
+        rel = dephase(psi, np.pi / 8, 1.0, 0.0)[0, -1]  # out_{+4} out_{-4}^*
         assert np.angle(rel) == pytest.approx(np.pi, abs=1e-12) or np.angle(rel) == pytest.approx(
             -np.pi, abs=1e-12
         )
@@ -122,21 +124,21 @@ class TestEvolveNoisefree:
 
     @given(psi=states, omega=st.floats(-10, 10), tau=st.floats(0, 10))
     def test_norm_preserved(self, psi, omega, tau):
-        out = evolve_noisefree(psi, omega, tau)
-        assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
+        out = dephase(psi, omega, tau, 0.0)
+        assert abs(np.trace(out) - 1.0) < 1e-12
 
 
 class TestDephase:
     def test_zero_chi_is_pure_projector(self):
         psi = random_state(6, seed=7)
-        rho = dephase(psi, 0.8, 1.3, 0.0).entries
-        evolved = evolve_noisefree(psi, 0.8, 1.3).amplitudes
+        rho = dephase(psi, 0.8, 1.3, 0.0)
+        evolved = evolve_noisefree(psi, 0.8, 1.3)
         np.testing.assert_allclose(rho, np.outer(evolved, evolved.conj()), atol=1e-12)
 
     @pytest.mark.parametrize("two_s", [1, 2, 8])
     def test_ghz_coherence_magnitude(self, two_s):
         chi = 0.03
-        rho = dephase(ghz_like_state(SpinQuantumNumber(two_s)), 0.4, 0.7, chi).entries
+        rho = dephase(ghz_like_state(SpinQuantumNumber(two_s)), 0.4, 0.7, chi)
         assert abs(rho[0, -1]) == pytest.approx(0.5 * np.exp(-(two_s**2) * chi), rel=1e-12)
         # only the four corner entries are populated
         mask = np.zeros_like(rho, dtype=bool)
@@ -147,14 +149,14 @@ class TestDephase:
         # independent route: average exp(-i dm phase) over Gaussian phases of
         # variance 2 chi and compare each coherence's damping factor
         chi = 0.1
-        psi = spin1_param_state(Spin1Params(np.pi / 4, np.pi / 4))
-        rho = dephase(psi, 0.0, 1.0, chi).entries
+        psi = _spin1_amplitudes(np.pi / 4, np.pi / 4, 0.0, 0.0)
+        rho = dephase(psi, 0.0, 1.0, chi)
         rng = np.random.default_rng(2024)
         phases = rng.normal(scale=np.sqrt(2 * chi), size=400_000)
         for dm, (i, j) in [(1, (0, 1)), (2, (0, 2))]:
             z = np.exp(-1j * dm * phases)
             se = z.real.std(ddof=1) / np.sqrt(len(z))
-            bare = psi.amplitudes[i] * np.conj(psi.amplitudes[j])
+            bare = psi[i] * np.conj(psi[j])
             measured_damping = (rho[i, j] / bare).real
             assert abs(measured_damping - z.real.mean()) < 3 * se
             assert measured_damping == pytest.approx(np.exp(-(dm**2) * chi), rel=1e-12)
@@ -168,8 +170,8 @@ class TestDephase:
     @settings(max_examples=50)
     def test_monotone_damping(self, psi, omega, tau, chi1, chi2):
         lo, hi = sorted([chi1, chi2])
-        r1 = np.abs(dephase(psi, omega, tau, lo).entries)
-        r2 = np.abs(dephase(psi, omega, tau, hi).entries)
+        r1 = np.abs(dephase(psi, omega, tau, lo))
+        r2 = np.abs(dephase(psi, omega, tau, hi))
         assert np.all(r2 <= r1 + 1e-15)
 
     @pytest.mark.parametrize("two_s", [2, 4, 8])
@@ -177,80 +179,59 @@ class TestDephase:
         # GHZ-protocol spin-S block equals spin-1/2 with signal and damping
         # exponent scaled by 2S and (2S)^2
         omega, tau, chi = 0.37, 0.9, 0.004
-        big = dephase(ghz_like_state(SpinQuantumNumber(two_s)), omega, tau, chi).entries
+        big = dephase(ghz_like_state(SpinQuantumNumber(two_s)), omega, tau, chi)
         block = np.array([[big[0, 0], big[0, -1]], [big[-1, 0], big[-1, -1]]])
-        half = dephase(
-            ghz_like_state(SpinQuantumNumber(1)), two_s * omega, tau, two_s**2 * chi
-        ).entries
+        half = dephase(ghz_like_state(SpinQuantumNumber(1)), two_s * omega, tau, two_s**2 * chi)
         np.testing.assert_allclose(block, half, atol=1e-12)
 
 
 class TestFidelity:
-    def test_self(self):
-        psi = random_state(5, seed=3)
-        assert fidelity(psi, psi) == pytest.approx(1.0)
-
-    def test_orthogonal_basis_states(self):
-        up = PureState(np.array([1.0, 0.0]))
-        down = PureState(np.array([0.0, 1.0]))
-        assert fidelity(up, down) == 0.0
-
     def test_ghz_equals_param_point(self):
         a = ghz_like_state(SpinQuantumNumber(2))
-        b = spin1_param_state(Spin1Params(np.pi / 4, np.pi / 2))
-        assert fidelity(a, b) == pytest.approx(1.0)
-
-    @given(two_s=st.integers(1, 8), seed_a=st.integers(0, 2**31 - 1),
-           seed_b=st.integers(0, 2**31 - 1))
-    @settings(max_examples=50)
-    def test_bounds_and_symmetry(self, two_s, seed_a, seed_b):
-        a, b = random_state(two_s, seed_a), random_state(two_s, seed_b)
-        f = fidelity(a, b)
-        assert 0.0 <= f <= 1.0 + 1e-12
-        assert f == pytest.approx(fidelity(b, a))
+        b = _spin1_amplitudes(np.pi / 4, np.pi / 2, 0.0, 0.0)
+        assert abs(np.vdot(a, b)) == pytest.approx(1.0)
 
 
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            DensityMatrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
+            _check_density(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2))
+            _check_density(np.eye(2, dtype=complex))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
-            DensityMatrix(np.diag([1.5, -0.5]))
+            _check_density(np.diag([1.5, -0.5]).astype(complex))
 
     @given(psi=states, omega=st.floats(-5, 5), tau=st.floats(0, 5), chi=st.floats(0, 3))
     @settings(max_examples=50)
     def test_dephase_output_always_valid(self, psi, omega, tau, chi):
-        rho = dephase(psi, omega, tau, chi)  # constructor enforces the invariants
-        assert rho.dimension == psi.dimension
-        np.testing.assert_allclose(np.diag(rho.entries).real, np.abs(psi.amplitudes) ** 2,
-                                   atol=1e-12)
+        rho = dephase(psi, omega, tau, chi)
+        _check_density(rho)
+        assert rho.shape == (len(psi), len(psi))
+        np.testing.assert_allclose(np.diag(rho).real, np.abs(psi) ** 2, atol=1e-12)
 
 
 class TestStackedChecks:
-    """The stacked dephase and density checks reject what the value types reject,
-    whichever matrix of the stack is at fault."""
+    """The stacked dephase and density checks reject what the one-matrix checks
+    reject, whichever matrix of the stack is at fault."""
 
     def stack(self):
-        psis = [random_state(3, seed) for seed in range(5)]
-        amps = np.array([p.amplitudes for p in psis])
-        return _dephase_stack(amps, np.linspace(-1, 1, 5), np.full(5, 0.7), np.full(5, 0.1))
+        amps = np.array([random_state(3, seed) for seed in range(5)])
+        return dephase(amps, np.linspace(-1, 1, 5), np.full(5, 0.7), np.full(5, 0.1))
 
     def test_matches_dephase_matrix_by_matrix(self):
-        amps = np.array([random_state(4, seed).amplitudes for seed in range(6)])
+        amps = np.array([random_state(4, seed) for seed in range(6)])
         omega, tau, chi = np.linspace(-2, 2, 6), np.linspace(0.1, 2, 6), np.linspace(0, 1, 6)
-        rho = _dephase_stack(amps, omega, tau, chi)
+        rho = dephase(amps, omega, tau, chi)
         dm = np.subtract.outer(np.arange(5), np.arange(5))
         for i in range(6):
-            evolved = evolve_noisefree(PureState(amps[i]), omega[i], tau[i]).amplitudes
+            evolved = evolve_noisefree(amps[i], omega[i], tau[i])
             ref = np.outer(evolved, evolved.conj()) * np.exp(-(dm**2) * chi[i])
             assert np.array_equal(rho[i], ref)
-            assert np.array_equal(dephase(PureState(amps[i]), omega[i], tau[i], chi[i]).entries, ref)
+            assert np.array_equal(dephase(amps[i], omega[i], tau[i], chi[i]), ref)
 
     def test_valid_stack_passes(self):
         rho = self.stack()
@@ -268,17 +249,17 @@ class TestStackedChecks:
         rho = self.stack()
         rho[2] = corrupt(rho[2])
         with pytest.raises(ValueError):
-            DensityMatrix(rho[2])
+            _check_density(rho[2])
         with pytest.raises(ValueError):
             _check_density(rho)
         with pytest.raises(ValueError):
             _check_density(rho, np.linalg.eigh(rho)[0])
 
     def test_rejects_unnormalized_row_and_negative_chi(self):
-        amps = np.array([random_state(2, seed).amplitudes for seed in range(3)])
-        _dephase_stack(amps, 0.3, 0.5, np.array([0.0, 0.1, 0.2]))
+        amps = np.array([random_state(2, seed) for seed in range(3)])
+        dephase(amps, 0.3, 0.5, np.array([0.0, 0.1, 0.2]))
         with pytest.raises(ValueError, match="chi"):
-            _dephase_stack(amps, 0.3, 0.5, np.array([0.0, -0.1, 0.2]))
+            dephase(amps, 0.3, 0.5, np.array([0.0, -0.1, 0.2]))
         amps[1] *= 1.001
         with pytest.raises(ValueError, match="normalized"):
-            _dephase_stack(amps, 0.3, 0.5, 0.1)
+            dephase(amps, 0.3, 0.5, 0.1)
