@@ -30,14 +30,12 @@ from .ou_noise import (
     NoiseRegime,
     OUNoise,
     RegimeKind,
-    _chi,
     _dd_law,
     _free_law,
     _illinois,
     _Law,
     _law_roots,
     _regime_kind,
-    chi,
     classify,
     t2,
 )
@@ -386,41 +384,42 @@ def _spin1_rates(noise: OUNoise):
     equal-shape theta and phi arrays to the rate of each state, and a list
     that receives, per call, the number of rows whose scan bracket held no
     root.  The scan is one row of 200 tau points over [T2/100, 100 T2] of
-    the spin-1 GHZ state, with D = exp(-2 chi) on it.  In ``rates`` a row's
-    best scan point and its two neighbours bracket the root of
+    the spin-1 GHZ state, with D = exp(-2 chi) on it.  chi comes from the
+    log form of the free law (``_free_law``), so neither b^2 tau_c^2 nor
+    tau/tau_c is formed and chi is finite wherever log chi is.  In ``rates``
+    a row's best scan point and its two neighbours bracket the root of
     d log(F/tau)/d log tau = 1 - 2 tau chi' (1 + D P'/P - D Q'/Q), solved
-    by ``_illinois``; the rate there is F/tau in the Horner form of ``qfi``,
-    which the oracle suite checks, again without tau^2, so it does not
-    overflow where F does.  A row with no sign change keeps its scan point,
+    by ``_illinois``; one ``log_chi`` call per step gives chi and its slope,
+    and tau chi' = chi slope.  The rate there is F/tau in the Horner form of
+    ``qfi``, which the oracle suite checks, again without tau^2, so it does
+    not overflow where F does.  A row with no sign change keeps its scan point,
     no row depends on the others, and a rate that is not finite raises
     FloatingPointError.
     """
     t2_val = t2(SpinQuantumNumber(2), noise)
     tau_grid = np.logspace(np.log10(t2_val * config.SPIN1_TAU_LO),
                            np.log10(t2_val * config.SPIN1_TAU_HI), config.SPIN1_TAU_POINTS)
-    with np.errstate(all="ignore"):
-        chi_grid = chi(noise, tau_grid)
-    if not np.all(np.isfinite(chi_grid)):
-        raise FloatingPointError(f"spin-1 yield rate at {noise!r} is not finite (chi overflows)")
-    scan = _spin1_scanner(np.exp(-2.0 * chi_grid), tau_grid, config.STATE_CHUNK_ROWS)
+    law = _free_law(noise.b, noise.tau_c)
     log_grid, last = np.log(tau_grid), len(tau_grid) - 1
-    b, tau_c = noise.b, noise.tau_c
+    with np.errstate(all="ignore"):
+        scan = _spin1_scanner(np.exp(-2.0 * np.exp(law.log_chi(log_grid)[0])), tau_grid,
+                              config.STATE_CHUNK_ROWS)
     unbracketed: list[int] = []
 
     def rates(theta, phi):
         p, q = _spin1_coefficients(np.ravel(theta), np.ravel(phi))
         i, at_i = scan(p, q)
 
-        def h(u):  # -d log(F/tau)/d log tau at tau = e^u, with tau chi' = b^2 tau_c tau (1 - e^-x)
-            t = np.exp(u)
-            d = np.exp(-2.0 * _chi(b, tau_c, t))
-            return 2.0 * b * b * tau_c * t * -np.expm1(-t / tau_c) * _spin1_log_slope(p, q, d) - 1.0
+        def h(u):  # -d log(F/tau)/d log tau at tau = e^u, with tau chi' = chi slope
+            log_chi, slope = law.log_chi(u)
+            c = np.exp(log_chi)
+            return 2.0 * c * slope * _spin1_log_slope(p, q, np.exp(-2.0 * c)) - 1.0
 
         with np.errstate(all="ignore"):
             a, z = log_grid[np.maximum(i - 1, 0)], log_grid[np.minimum(i + 1, last)]
             u = _illinois(h, a, z, h(a), h(z))
-            t = np.exp(u)
-            root = _spin1_from_coefficients(p, q, np.exp(-2.0 * _chi(b, tau_c, t)), t)
+            d = np.exp(-2.0 * np.exp(law.log_chi(u)[0]))
+            root = _spin1_from_coefficients(p, q, d, np.exp(u))
         bracketed = np.isfinite(u)
         r = np.where(bracketed, root, at_i)
         if not np.all(np.isfinite(r)):

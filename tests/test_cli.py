@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinsense import cli, config
+from spinsense import OUNoise, RegimeKind, SpinQuantumNumber, cli, config, yield_rate_asymptotic
 from spinsense.validate import CheckResult
 
 
@@ -261,10 +261,31 @@ class TestOptimizeStateCommand:
         assert row[1] == pytest.approx(1 / (2 * math.e * 1e-300), rel=1e-9)
         assert row[2] / row[1] == pytest.approx(1.5313, rel=1e-4)
 
+    @pytest.mark.parametrize("b, tau_c, regime, gain", [
+        ("1e300", "1", RegimeKind.QUASI_STATIC, 1.0),  # b^2 tau_c^2 overflows
+        ("1", "1e-300", RegimeKind.MARKOVIAN, 1.5313),  # tau/tau_c overflows
+    ])
+    def test_rates_where_the_linear_chi_overflows(self, tmp_path, capsys, b, tau_c, regime, gain):
+        # chi on the spin-1 scan comes from its log form, so these rates are
+        # finite and deep in their regime: r_ghz is the asymptotic GHZ rate
+        out = str(tmp_path / "edge.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["optimize-state", "--b", b, "--tau-c-min", tau_c,
+                        "--tau-c-max", tau_c, "--points", "1", "--out", out])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        row = [float(v) for v in read_csv(out)[1][0]]
+        noise = OUNoise(float(b), float(tau_c))
+        expected = yield_rate_asymptotic(SpinQuantumNumber(2), noise, regime).rate
+        assert row[1] == pytest.approx(expected, rel=1e-9)
+        assert row[2] / row[1] == pytest.approx(gain, rel=1e-4)
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
-        out = str(tmp_path / "huge_b.csv")
-        code = run(["optimize-state", "--b", "1e300", "--tau-c-min", "1",
-                    "--tau-c-max", "1", "--points", "1", "--out", out])
+        # T2 = 1/(4 b^2 tau_c) = 2.5e599 is outside the float range
+        out = str(tmp_path / "tiny_b_tau_c.csv")
+        code = run(["optimize-state", "--b", "1e-200", "--tau-c-min", "1e-200",
+                    "--tau-c-max", "1e-200", "--points", "1", "--out", out])
         err = capsys.readouterr().err
         assert code == cli.EXIT_NUMERICAL == 3
         assert len(err.strip().splitlines()) == 1 and "numerical failure" in err
