@@ -392,9 +392,9 @@ def _spin1_rates(noise: OUNoise):
     by ``_illinois``; one ``log_chi`` call per step gives chi and its slope,
     and tau chi' = chi slope.  The rate there is F/tau in the Horner form of
     ``qfi``, which the oracle suite checks, again without tau^2, so it does
-    not overflow where F does.  A row with no sign change keeps its scan point,
-    no row depends on the others, and a rate that is not finite raises
-    FloatingPointError.
+    not overflow where F does.  A row with no sign change keeps its scan
+    point, no row depends on the others, and a rate that is not finite
+    raises FloatingPointError.
     """
     t2_val = t2(SpinQuantumNumber(2), noise)
     tau_grid = np.logspace(np.log10(t2_val * config.SPIN1_TAU_LO),
@@ -439,8 +439,8 @@ def optimize_initial_state_spin1(noise: OUNoise) -> StateOptResult:
     distinct peaks of that grid (at most ``config.STATE_REFINE_STARTS`` cells,
     each at least its 8 neighbours) together on nested 5 x 5 angle grids (one
     batched rate solve per pass, from a half-width of one cell down to
-    ``config.STATE_XATOL``); and reports the overlap of the winner with the GHZ-like
-    state after zeroing the phases of both.  The GHZ point itself is part of
+    ``config.STATE_XATOL``); and reports the overlap of the winner with the
+    GHZ-like state after zeroing the phases of both.  The GHZ point itself is part of
     the candidate set, so r_max can never fall below r_ghz.  Each rate is
     the maximum of the spin-1 curve's F/tau, solved by ``_spin1_rates``; a
     rate that is not finite raises FloatingPointError.
