@@ -103,7 +103,7 @@ def _delta_m(dim: int) -> np.ndarray:
     return (idx[None, :] - idx[:, None]).astype(float)
 
 
-def dephase(amps: np.ndarray, omega, tau, chi) -> np.ndarray:
+def dephase(amps, omega, tau, chi) -> np.ndarray:
     """Evolved state averaged over Gaussian phase noise of half-variance chi.
 
     Amplitude rows (..., d) give (..., d, d) matrices; omega, tau and chi are
@@ -114,6 +114,7 @@ def dephase(amps: np.ndarray, omega, tau, chi) -> np.ndarray:
     normalized row gives a valid density matrix.  Checks each evolved row's
     norm; the density checks are the caller's (``_check_density``).
     """
+    amps = np.asarray(amps, dtype=complex)
     omega, tau, chi = (np.asarray(a, dtype=float)[..., None] for a in (omega, tau, chi))
     if np.any(chi < 0):
         raise ValueError(f"chi must be nonnegative, got {float(np.min(chi))!r}")

@@ -4,8 +4,9 @@ Four suites, each returning a list of check records:
 
 * ``mc``        sampled-noise coherence against the closed-form decay
 * ``oracle``    closed-form QFI against the generic eigendecomposition route,
-                on tuples drawn one at a time (a seed fixes them) and
-                density matrices built, checked and diagonalized in stacks
+                on tuples replayed in bulk from the generator's raw words (a
+                seed fixes them) and density matrices built, checked and
+                diagonalized in stacks
 * ``estimator`` measurement Fisher information and likelihood-estimator
                 efficiency against the error bound
 * ``dd``        pulsed-control scaling exponents against 2 - 2/n
@@ -18,6 +19,7 @@ from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
 from .estimation import classical_fisher, simulate_and_estimate
@@ -109,38 +111,94 @@ _LOG_LO = np.log([0.05, 0.01, 0.05])
 _LOG_SPAN = np.log([2.0, 10.0, 2.0]) - _LOG_LO
 _UNIFORM_LO = np.array([-2.0, 0.1, 0.1, 0.0, 0.0])
 _UNIFORM_SPAN = np.array([2.0, math.pi / 2 - 0.1, math.pi / 2 - 0.1, 2 * math.pi, 2 * math.pi]) - _UNIFORM_LO
+_TWO_S_SQUARED = np.array(_ORACLE_TWO_S)[:, None] ** 2
+_REPLAY_CHUNK_WORDS = 1024  # PCG64 output words per chunk of the replayed draws
+
+
+def _draw_index(half_words: np.ndarray) -> list[int]:
+    """``integers(5)`` from each 32-bit half-word x: Lemire's (5 x) >> 32,
+    or -1 where the draw is rejected (x = 0, the only leftover below the
+    threshold (2^32 - 5) mod 5 = 1) and the next half-word is taken."""
+    picks = ((half_words * 5) >> 32).astype(np.int64)
+    picks[half_words == 0] = -1
+    return picks.tolist()
+
+
+def _oracle_draws(bit_generator: np.random.PCG64, n_tuples: int) -> tuple[np.ndarray, int]:
+    """The oracle's tuples as ``np.random.Generator(bit_generator)`` draws
+    them, replayed from the raw PCG64 output words of a bit generator that
+    holds no pending half-word (a fresh one); returns the (n_tuples, 8)
+    rows (2S, tau, chi, omega, theta, phi, lambda1, lambda2) and the number
+    of (2S, b, tau_c, tau) attempts rejected for a decoherence exponent
+    (2S)^2 chi above 3.
+
+    Each attempt is ``integers(5)`` (the index into _ORACLE_TWO_S) and
+    ``random(3)`` (log b, log tau_c, log tau); an accepted one adds
+    ``random(5)`` (omega, theta, phi, lambda1, lambda2).  numpy builds these
+    from PCG64 words w in a fixed way: ``random()`` is (w >> 11) 2^-53, one
+    word each, and ``integers(5)`` takes a 32-bit half-word, the low half of
+    a fresh word whose high half the generator keeps for the next call.  So
+    the words are taken in chunks, the doubles, exponentials and chi of
+    every length-3 window of a chunk are evaluated at once, and a short loop
+    walks the chunk as the generator calls would: a fresh word advances the
+    cursor one word, a rejected attempt three, an accepted one eight.
+    """
+    chunks, rejected, drawn, half = [np.empty((0, 8))], 0, 0, None
+    words = np.empty(0, dtype=np.uint64)
+    while drawn < n_tuples:
+        words = np.concatenate([words, bit_generator.random_raw(_REPLAY_CHUNK_WORDS)])
+        doubles = (words >> 11) * 2.0**-53
+        noise = np.exp(_LOG_LO + _LOG_SPAN * sliding_window_view(doubles, 3))  # b, tau_c, tau
+        chi_val = _chi(*noise.T)  # b, tau_c > 0 and finite by construction
+        # _ORACLE_TWO_S ascends, so a window accepts exactly the picks below its count
+        allowed = np.sum(_TWO_S_SQUARED * chi_val <= 3.0, axis=0).tolist()
+        low, high = _draw_index(words & 0xFFFFFFFF), _draw_index(words >> 32)
+        starts, picks = [], []
+        pos = 0
+        while pos <= len(words) - 9 and drawn < n_tuples:  # room for a fresh word and 8 doubles
+            if half is None:
+                pick, half = low[pos], high[pos]
+                pos += 1
+            else:
+                pick, half = half, None
+            if pick < 0:
+                continue
+            if pick < allowed[pos]:
+                starts.append(pos)
+                picks.append(pick)
+                drawn += 1
+                pos += 8
+            else:
+                rejected += 1
+                pos += 3
+        at = np.array(starts, dtype=np.intp)
+        chunks.append(np.column_stack([
+            np.take(_ORACLE_TWO_S, picks), noise[at, 2], chi_val[at],
+            _UNIFORM_LO + _UNIFORM_SPAN * doubles[at[:, None] + np.arange(3, 8)]]))
+        words = words[pos:]
+    return np.concatenate(chunks), rejected
 
 
 def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     """Worst relative disagreements of the two closed forms vs the SLD route,
     and the worst absolute spread of the spin-1 QFI over the state phases.
 
-    Tuples are drawn one at a time in a fixed sequence of generator calls,
-    so a seed fixes them; the SLD route then builds, checks and diagonalizes
-    the density matrices in stacks (GHZ states grouped by dimension, spin-1
-    states at d = 3), sharing no code with the closed forms.
+    A seed fixes the tuples: they are the draws of a fixed sequence of
+    ``rng.choice`` and ``rng.uniform`` calls on ``default_rng(seed)``,
+    replayed in bulk from the generator's raw words (``_oracle_draws``).
+    The SLD route then builds, checks and diagonalizes the density matrices
+    in stacks (GHZ states grouped by dimension, spin-1 states at d = 3),
+    sharing no code with the closed forms.
 
-    The draws are those of ``rng.choice`` and ``rng.uniform`` calls, made
-    cheaper: ``choice`` over five values is ``integers(5)`` and an index,
-    and ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` with one double
-    per value, so ``integers(5)`` and ``random(k)`` consume the generator
-    exactly as those calls did and give the same values.  The exponentials
-    stay numpy's ``exp`` (and ``chi`` numpy's ``expm1``): ``math.exp`` and
+    ``choice`` over five values is ``integers(5)`` and an index, and
+    ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` with one double per
+    value, which the replay reproduces bit for bit.  The exponentials stay
+    numpy's ``exp`` (and ``chi`` numpy's ``expm1``): ``math.exp`` and
     ``math.expm1`` round differently on a few percent of these draws and
     would change the tuples.
     """
-    rng = np.random.default_rng(seed)
-    rows, rejected = [], 0
-    for _ in range(n_tuples):
-        while True:  # draw (S, noise, tau) keeping the decoherence exponent moderate
-            two_s = _ORACLE_TWO_S[rng.integers(5)]
-            b, tau_c, tau = np.exp(_LOG_LO + _LOG_SPAN * rng.random(3))
-            chi_val = float(_chi(b, tau_c, tau))  # b, tau_c > 0 and finite by construction
-            if two_s**2 * chi_val <= 3.0:
-                break
-            rejected += 1
-        rows.append((two_s, tau, chi_val, *(_UNIFORM_LO + _UNIFORM_SPAN * rng.random(5))))
-    two_s, tau, chi_val, omega, theta, phi, l1, l2 = np.array(rows).reshape(-1, 8).T
+    rows, rejected = _oracle_draws(np.random.PCG64(seed), n_tuples)
+    two_s, tau, chi_val, omega, theta, phi, l1, l2 = rows.T
 
     counts: dict[str, int] = {}
     generic = np.empty(n_tuples)

@@ -87,20 +87,12 @@ def sld_qfi_one_matrix(rho, drho):
     return float(np.sum(2.0 * np.abs(m) ** 2 * keep / np.where(keep, denom, 1.0)))
 
 
-def oracle_checks_per_tuple(seed, n_tuples):
-    """The oracle suite one density matrix at a time, the reference for the
-    stacked route: draws, dephased state, derivative and SLD sum per tuple.
-    Also returns the number of (S, noise, tau) draws rejected."""
-
-    def dephased(psi, omega, tau, chi_val):
-        m = (len(psi) - 1 - 2.0 * np.arange(len(psi))) / 2.0
-        evolved = psi * np.exp(-1j * m * omega * tau)  # exp(-i omega tau S_z) psi
-        rho = np.outer(evolved, evolved.conj()) * np.exp(-(_delta_m(len(evolved)) ** 2) * chi_val)
-        return rho, rho * (-1j * _delta_m(len(evolved)) * tau)
-
-    rng = np.random.default_rng(seed)
-    worst_ghz = worst_spin1 = 0.0
-    rejected = -n_tuples
+def oracle_draws_per_tuple(rng, n_tuples):
+    """The oracle's tuples drawn one generator call at a time with
+    ``rng.choice`` and ``rng.uniform``, the reference for the replay from raw
+    words: (S, noise, tau, omega, theta, phi, lambda1, lambda2) per tuple,
+    and the number of (S, noise, tau) draws rejected."""
+    tuples, rejected = [], -n_tuples
     for _ in range(n_tuples):
         while True:
             rejected += 1
@@ -112,18 +104,31 @@ def oracle_checks_per_tuple(seed, n_tuples):
             tau = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
             if s.two_s**2 * chi(noise, tau) <= 3.0:
                 break
-        omega = float(rng.uniform(-2.0, 2.0))
+        tuples.append((s, noise, tau, *(float(rng.uniform(lo, hi)) for lo, hi in (
+            (-2.0, 2.0), (0.1, math.pi / 2 - 0.1), (0.1, math.pi / 2 - 0.1),
+            (0.0, 2 * math.pi), (0.0, 2 * math.pi)))))
+    return tuples, rejected
+
+
+def oracle_checks_per_tuple(seed, n_tuples):
+    """The oracle suite one density matrix at a time, the reference for the
+    stacked route: draws, dephased state, derivative and SLD sum per tuple.
+    Also returns the number of (S, noise, tau) draws rejected."""
+
+    def dephased(psi, omega, tau, chi_val):
+        m = (len(psi) - 1 - 2.0 * np.arange(len(psi))) / 2.0
+        evolved = psi * np.exp(-1j * m * omega * tau)  # exp(-i omega tau S_z) psi
+        rho = np.outer(evolved, evolved.conj()) * np.exp(-(_delta_m(len(evolved)) ** 2) * chi_val)
+        return rho, rho * (-1j * _delta_m(len(evolved)) * tau)
+
+    tuples, rejected = oracle_draws_per_tuple(np.random.default_rng(seed), n_tuples)
+    worst_ghz = worst_spin1 = 0.0
+    for s, noise, tau, omega, theta, phi, l1, l2 in tuples:
         chi_val = float(chi(noise, tau))
         generic = sld_qfi_one_matrix(*dephased(ghz_like_state(s), omega, tau, chi_val))
         closed = ghz_qfi_values(s, noise, tau)
         worst_ghz = max(worst_ghz, abs(generic - closed) / max(generic, closed))
 
-        theta, phi, l1, l2 = (
-            float(rng.uniform(0.1, math.pi / 2 - 0.1)),
-            float(rng.uniform(0.1, math.pi / 2 - 0.1)),
-            float(rng.uniform(0.0, 2 * math.pi)),
-            float(rng.uniform(0.0, 2 * math.pi)),
-        )
         chi1 = min(chi_val, 0.75)
         psi1 = _spin1_amplitudes(theta, phi, l1, l2)
         generic1 = sld_qfi_one_matrix(*dephased(psi1, omega, tau, chi1))
@@ -382,6 +387,54 @@ class TestStackedSLD:
         ):
             with pytest.raises(ValueError):
                 qfi_generic(bad_rho, bad_drho)
+
+
+# PCG64's LCG multiplier: a state s steps to s * _PCG64_MULTIPLIER + inc mod 2^128
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def reference_rows(rng, n_tuples):
+    """``oracle_draws_per_tuple`` as the replay's (2S, tau, chi, omega, theta,
+    phi, lambda1, lambda2) rows, and the draws rejected."""
+    tuples, rejected = oracle_draws_per_tuple(rng, n_tuples)
+    rows = [(s.two_s, tau, chi(noise, tau), *rest) for s, noise, tau, *rest in tuples]
+    return np.array(rows, dtype=float).reshape(-1, 8), rejected
+
+
+def pcg64_at(state):
+    bit_generator = np.random.PCG64()
+    bit_generator.state = state
+    return bit_generator
+
+
+class TestOracleDraws:
+    """The oracle tuples replayed from raw PCG64 words against the generator
+    calls they replace, tuple for tuple and bit for bit (no LAPACK involved)."""
+
+    def test_replay_equals_generator_calls(self):
+        # seeds 0-199 and 2**31 - 1, the largest seed the benchmark plan can
+        # draw; 150 tuples take at least 150 * 8 + 75 words, so each run
+        # crosses from the first chunk into the second
+        for seed in [*range(200), 2**31 - 1]:
+            rows, rejected = validate._oracle_draws(np.random.PCG64(seed), 150)
+            expected, expected_rejected = reference_rows(np.random.default_rng(seed), 150)
+            assert (rows.tobytes(), rejected) == (expected.tobytes(), expected_rejected), seed
+
+    def test_rejected_integer_draw(self):
+        # the state that steps to 0 makes the next output word 0, so both of
+        # its half-words are x = 0, which Lemire's method rejects: the first
+        # integers(5) call takes the low half of the word after it
+        inc = np.random.PCG64(5).state["state"]["inc"]
+        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                 "state": {"state": -inc * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128, "inc": inc}}
+        assert pcg64_at(state).random_raw(1)[0] == 0
+        rows, rejected = validate._oracle_draws(pcg64_at(state), 50)
+        expected, expected_rejected = reference_rows(np.random.Generator(pcg64_at(state)), 50)
+        assert (rows.tobytes(), rejected) == (expected.tobytes(), expected_rejected)
+
+    def test_no_tuples(self):
+        rows, rejected = validate._oracle_draws(np.random.PCG64(0), 0)
+        assert rows.shape == (0, 8) and rejected == 0
 
 
 class TestOracleEquivalence:

@@ -165,6 +165,14 @@ class TestDephase:
         with pytest.raises(ValueError):
             dephase(ghz_like_state(SpinQuantumNumber(2)), 0.0, 1.0, -0.1)
 
+    def test_list_of_amplitudes_equals_array(self):
+        psi = random_state(4, seed=3)
+        assert np.array_equal(dephase(list(psi), 0.3, 0.9, 0.05), dephase(psi, 0.3, 0.9, 0.05))
+        assert np.array_equal(drho_domega(list(psi), 0.3, 0.9, 0.05),
+                              drho_domega(psi, 0.3, 0.9, 0.05))
+        real = [INV_SQRT2, INV_SQRT2]
+        assert np.array_equal(dephase(real, 0.1, 1.0, 0.0), dephase(np.array(real), 0.1, 1.0, 0.0))
+
     @given(psi=states, omega=st.floats(-5, 5), tau=st.floats(0, 5),
            chi1=st.floats(0, 2), chi2=st.floats(0, 2))
     @settings(max_examples=50)
