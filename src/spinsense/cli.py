@@ -132,6 +132,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def cmd_qfi_curve(args: argparse.Namespace) -> int:
     started = time.time()
     _require_ordered(args.tau_min, args.tau_max, "--tau-min", "--tau-max")
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run a self-validation suite")
     p.add_argument("--suite", choices=["mc", "oracle", "estimator", "dd"], required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_validate)
 

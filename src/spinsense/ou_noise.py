@@ -126,22 +126,40 @@ class _Law:
     c: float = 2.0
 
 
+def _log_core_series(lx, x):
+    """log core(x) and its slope d log core / d log x from a six-term series,
+    for x < ``_LOG_CHI_SERIES_BELOW``; lx = log x."""
+    # core(x)/x^2 = sum_k (-x)^k/(k+2)!, cut where its next term is below 4e-14
+    head = 0.5 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (1 / 720 - x / 5040))))
+    # slope x (1 - e^-x) / core(x), which is 1/head - x on the series
+    return 2.0 * lx + np.log(head), 1.0 / head - x
+
+
+def _log_core_direct(lx, x):
+    """log core(x) = log(x + expm1(-x)) and its slope, for x >= ``_LOG_CHI_SERIES_BELOW``;
+    where x is inf (t/tau_c overflowed), log core(x) = log x."""
+    rise = -np.expm1(-x)  # 1 - e^-x
+    return np.where(x < np.inf, np.log(x - rise), lx), rise / (1.0 - rise / x)
+
+
 def _free_law(b, tau_c) -> _Law:
     """Free evolution, chi = b^2 tau_c^2 core(x); b and tau_c broadcast against u."""
     log_b, log_tau_c = np.log(b), np.log(tau_c)
 
     def log_chi(u):
         lx = u - log_tau_c
-        x = np.exp(lx)  # inf where t/tau_c overflows; then log core(x) = log x
+        x = np.exp(lx)
         small = x < _LOG_CHI_SERIES_BELOW
-        safe, xs = np.where(small, 1.0, x), np.where(small, x, 0.0)
-        rise = -np.expm1(-safe)  # 1 - e^-x
-        # core(x)/x^2 = sum_k (-x)^k/(k+2)!, cut where its next term is below 4e-14
-        head = 0.5 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs * (1 / 720 - xs / 5040))))
-        log_core = np.where(small, 2.0 * lx + np.log(head),
-                            np.where(x < np.inf, np.log(safe - rise), lx))
-        # slope x (1 - e^-x) / core(x), which is 1/head - x on the series
-        slope = np.where(small, 1.0 / head - xs, rise / (1.0 - rise / safe))
+        # a branch no row takes is not evaluated; rows get the same values either way
+        n_small = np.count_nonzero(small)
+        if n_small == small.size:
+            log_core, slope = _log_core_series(lx, x)
+        elif n_small == 0:
+            log_core, slope = _log_core_direct(lx, x)
+        else:  # each branch on inputs safe for it, joined per row
+            log_s, slope_s = _log_core_series(lx, np.where(small, x, 0.0))
+            log_d, slope_d = _log_core_direct(lx, np.where(small, 1.0, x))
+            log_core, slope = np.where(small, log_s, log_d), np.where(small, slope_s, slope_d)
         return 2.0 * (log_b + log_tau_c) + log_core, slope
 
     return _Law(log_chi, log_b, log_tau_c)

@@ -47,10 +47,12 @@ from .spin_ops import SpinQuantumNumber
 # 2k^2y^2 + (2k - k^2)y + 1 >= 0 on (0, 1), k = n - 1, holds to k = 2 + 2 sqrt 2.
 _DD_MAX_N = 3.0 + 2.0 * math.sqrt(2.0)
 
-# Angle grid points per axis in each pass of the spin-1 state search: the
-# spacing of a 5 x 5 grid is half its half-width, so recentering on the best
-# point and halving the half-width shrinks the box by (k - 1)/2 = 2 per pass.
-_STATE_GRID_POINTS = 5
+# Angle grid points per axis in each pass of the spin-1 state search (odd,
+# at least 5): the spacing of a 9 x 9 grid is a quarter of its half-width, so
+# recentering on the best point and quartering the half-width shrinks the box
+# by (k - 1)/2 = 4 per pass, 8 passes from one coarse cell down to
+# config.STATE_XATOL where a 5 x 5 grid needs 15.
+_STATE_GRID_POINTS = 9
 
 
 class YieldMethod(enum.Enum):
@@ -112,10 +114,11 @@ class StateOptResult:
     r_ghz: float
     fidelity_with_ghz: float
     # solver diagnostics: rate rows solved (1 at the GHZ point plus
-    # passes x starts x 25), the nested-grid passes, (theta, phi) of each start
-    # (the distinct coarse peaks, at most config.STATE_REFINE_STARTS) with the
-    # rate it ended on, whether no start beat the GHZ point, and the rate rows
-    # whose scan bracket held no root (they keep their scan point)
+    # passes x starts x _STATE_GRID_POINTS**2 = 81), the nested-grid passes,
+    # (theta, phi) of each start (the distinct coarse peaks, at most
+    # config.STATE_REFINE_STARTS) with the rate it ended on, whether no start
+    # beat the GHZ point, and the rate rows whose scan bracket held no root
+    # (they keep their scan point)
     rate_evaluations: int = 0
     starts: tuple[tuple[float, float, float], ...] = ()
     ghz_won: bool = False
@@ -301,21 +304,26 @@ def sweep(
 def _grid_max_2d(objective, x, y, half_width: float, bounds: tuple[float, float], xatol: float):
     """Maximize ``objective`` around every start (x_i, y_i) at once by nested grids.
 
-    ``objective`` maps two (starts, k*k) arrays of points to their values.
-    Each pass evaluates a k x k grid of the given half-width around every
-    start, clipped to ``bounds`` on both axes, recenters each start on its
-    best point and halves the half-width, while the half-width is at least
-    ``xatol`` (at least one pass).  NaN values never win, and the center is
-    always on the grid, so a start's value never falls.  Returns the final
-    points, their values and the passes made.
+    ``objective`` maps two (starts, k*k) arrays of points to their values,
+    k = ``_STATE_GRID_POINTS``.  Each pass evaluates a k x k grid of the
+    given half-width around every start, clipped to ``bounds`` on both axes,
+    recenters each start on its best point and divides the half-width by
+    (k - 1)/2, so the next half-width is this grid's spacing, while the
+    half-width is at least ``xatol`` (at least one pass).  NaN values never
+    win, and the center is always on the grid, so a start's value never
+    falls.  Returns the final points, their values and the passes made.
     """
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
     rows = np.arange(len(x))
     offsets = np.linspace(-1.0, 1.0, _STATE_GRID_POINTS)
     dx, dy = (a.ravel() for a in np.meshgrid(offsets, offsets, indexing="ij"))
-    passes = 1 + max(0, math.floor(math.log2(half_width / xatol)))
+    shrink = (_STATE_GRID_POINTS - 1) // 2
+    # counted on the half-widths the passes use, not from a rounded logarithm
+    passes = 1
+    while half_width / shrink**passes >= xatol:
+        passes += 1
     for n in range(passes):
-        h = half_width / 2**n
+        h = half_width / shrink**n
         gx = np.clip(x[:, None] + h * dx, *bounds)
         gy = np.clip(y[:, None] + h * dy, *bounds)
         vals = np.asarray(objective(gx, gy), dtype=float)
@@ -437,11 +445,13 @@ def optimize_initial_state_spin1(noise: OUNoise) -> StateOptResult:
     enter the QFI) by the best F/tau on the tau scan, two small matrix
     products per chunk of ``config.STATE_CHUNK_ROWS`` cells; refines the best
     distinct peaks of that grid (at most ``config.STATE_REFINE_STARTS`` cells,
-    each at least its 8 neighbours) together on nested 5 x 5 angle grids (one
-    batched rate solve per pass, from a half-width of one cell down to
-    ``config.STATE_XATOL``); and reports the overlap of the winner with the
-    GHZ-like state after zeroing the phases of both.  The GHZ point itself is part of
-    the candidate set, so r_max can never fall below r_ghz.  Each rate is
+    each at least its 8 neighbours) together on nested 9 x 9 angle grids
+    (``_STATE_GRID_POINTS``; one batched rate solve per pass, from a
+    half-width of one cell, quartered each pass, down to
+    ``config.STATE_XATOL``: 8 passes); and reports the overlap of the winner
+    with the GHZ-like state after zeroing the phases of both.  The GHZ point
+    itself is part of the candidate set, so r_max can never fall below
+    r_ghz.  Each rate is
     the maximum of the spin-1 curve's F/tau, solved by ``_spin1_rates``; a
     rate that is not finite raises FloatingPointError.
     """

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spinsense import OUNoise, RegimeKind, SpinQuantumNumber, cli, config, yield_rate_asymptotic
+from spinsense.protocol import _STATE_GRID_POINTS
 from spinsense.validate import CheckResult
 
 
@@ -239,9 +240,10 @@ class TestOptimizeStateCommand:
                        for s in p["starts"])
             # no start ends above the reported optimum
             assert max(s["rate"] for s in p["starts"]) <= float(row[2])
-            # one row at the GHZ point plus a 5 x 5 angle grid per start and pass
+            # one row at the GHZ point plus a 9 x 9 angle grid per start and pass
             assert p["passes"] > 0
-            assert p["rate_evaluations"] == 1 + p["passes"] * len(p["starts"]) * 25
+            assert p["rate_evaluations"] == (
+                1 + p["passes"] * len(p["starts"]) * _STATE_GRID_POINTS**2)
             assert p["unbracketed"] == 0
         # the better state beats GHZ when the noise is Markovian, not when quasi-static
         assert [p["ghz_won"] for p in points] == [False, True]
@@ -352,6 +354,13 @@ class TestValidateCommand:
     def test_unknown_suite_exit_2(self, capsys):
         assert run(["validate", "--suite", "bogus"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("suite", ["mc", "oracle", "estimator", "dd"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, suite):
+        out = tmp_path / "report.json"
+        assert run(["validate", "--suite", suite, "--seed", "-1", "--out", str(out)]) == 2
+        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "report.manifest.json").exists()
 
 
 class TestInProcessCalls:

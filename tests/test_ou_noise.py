@@ -20,7 +20,13 @@ from spinsense import (
     sample_ou_paths,
     t2,
 )
-from spinsense.ou_noise import _dd_law, _free_law, _law_roots, _phase_weights
+from spinsense.ou_noise import (
+    _LOG_CHI_SERIES_BELOW,
+    _dd_law,
+    _free_law,
+    _law_roots,
+    _phase_weights,
+)
 
 mp.mp.dps = 40
 
@@ -164,6 +170,41 @@ class TestT2:
             assert root <= 2.0 * max(t_qs, t_m)
 
 
+def _free_log_chi_both_branches(b, tau_c, u):
+    """The free law's log chi and slope with the series and the direct branch
+    evaluated on every row and joined per row by np.where."""
+    log_b, log_tau_c = np.log(b), np.log(tau_c)
+    lx = u - log_tau_c
+    x = np.exp(lx)
+    small = x < _LOG_CHI_SERIES_BELOW
+    safe, xs = np.where(small, 1.0, x), np.where(small, x, 0.0)
+    rise = -np.expm1(-safe)
+    head = 0.5 - xs * (1 / 6 - xs * (1 / 24 - xs * (1 / 120 - xs * (1 / 720 - xs / 5040))))
+    log_core = np.where(small, 2.0 * lx + np.log(head),
+                        np.where(x < np.inf, np.log(safe - rise), lx))
+    slope = np.where(small, 1.0 / head - xs, rise / (1.0 - rise / safe))
+    return 2.0 * (log_b + log_tau_c) + log_core, slope
+
+
+# log(t/tau_c) for rows on the series (x < 0.03), on the direct branch, and
+# where t/tau_c overflows to inf
+_LOG_X = {
+    "series": st.floats(-700.0, -4.0),
+    "direct": st.floats(-3.0, 709.0),
+    "overflow": st.floats(710.0, 1e6),
+}
+
+
+@st.composite
+def _log_x_rows(draw):
+    kinds = draw(st.sampled_from([
+        ("series",), ("direct",), ("overflow",), ("series", "direct"),
+        ("direct", "overflow"), ("series", "overflow"), ("series", "direct", "overflow"),
+    ]))
+    rows = [v for k in kinds for v in draw(st.lists(_LOG_X[k], min_size=1, max_size=40))]
+    return np.array(draw(st.permutations(rows)))
+
+
 class TestLogLaws:
     """log chi and d log chi / d log t on u = log t, against mpmath over the float range."""
 
@@ -185,6 +226,23 @@ class TestLogLaws:
                 ref_slope = x * -mp.expm1(-x) / core
             assert self._close(got, ref, mp.log(b), mp.log(tau_c), v)
             assert got_slope == pytest.approx(float(ref_slope), rel=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_x=_log_x_rows(), log_b=st.floats(-300.0, 300.0),
+           log_tau_c=st.floats(-300.0, 300.0), per_row=st.booleans())
+    def test_free_evolution_equals_both_branches(self, log_x, log_b, log_tau_c, per_row):
+        # only the branches some row takes are evaluated, with the same
+        # operations on the same values, so every row is bit-identical
+        b, tau_c = math.exp(log_b), math.exp(log_tau_c)
+        if per_row:
+            b, tau_c = np.full(len(log_x), b), np.full(len(log_x), tau_c)
+        u = log_x + log_tau_c
+        with np.errstate(all="ignore"):
+            got = _free_law(b, tau_c).log_chi(u)
+            ref = _free_log_chi_both_branches(b, tau_c, u)
+        for g, r in zip(got, ref):
+            assert np.shape(g) == np.shape(r)
+            assert np.all(g == r)
 
     @pytest.mark.parametrize("n", [1.0, 1.5, 3.0, 5.8])
     def test_pulsed_control(self, n):

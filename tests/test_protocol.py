@@ -479,14 +479,14 @@ class TestStateOptimization:
             assert got == pytest.approx(ref, rel=1e-12)
 
     def test_batched_rate_does_not_depend_on_the_batch(self):
-        # a row solved alone equals the same row inside a starts x 5 x 5 batch
+        # a row solved alone equals the same row inside a starts x 9 x 9 batch
         noise = OUNoise(1.0, 1e-3)
         _, rates, _ = protocol._spin1_rates(noise)
         rng = np.random.default_rng(7)
-        theta, phi = rng.uniform(1e-9, np.pi / 2, size=(2, 5, 25))
+        theta, phi = rng.uniform(1e-9, np.pi / 2, size=(2, 5, 81))
         batch = rates(theta, phi)
-        assert batch.shape == (5, 25)
-        for i, j in [(0, 0), (2, 12), (4, 24)]:
+        assert batch.shape == (5, 81)
+        for i, j in [(0, 0), (2, 40), (4, 80)]:
             alone = rates(theta[i, j : j + 1], phi[i, j : j + 1])
             assert alone[0] == batch[i, j]
 
@@ -497,13 +497,26 @@ class TestStateOptimization:
 
     def test_result_diagnostics(self):
         result = optimize_initial_state_spin1(OUNoise(1.0, 1e-3))
-        # from one coarse cell down to xatol: (pi/2)/64 / 2**14 >= 1e-6 > (pi/2)/64 / 2**15
-        assert result.passes == 15
-        assert result.rate_evaluations == 1 + result.passes * len(result.starts) * 25
+        # from one coarse cell down to xatol: (pi/2)/64/4**7 >= 1e-6 > (pi/2)/64/4**8
+        assert result.passes == 8
+        assert result.rate_evaluations == (
+            1 + result.passes * len(result.starts) * protocol._STATE_GRID_POINTS**2)
         assert 1 <= len(result.starts) <= config.STATE_REFINE_STARTS
         assert max(r for _, _, r in result.starts) == result.r_max
         assert not result.ghz_won
         assert result.unbracketed == 0
+
+    def test_nine_point_grids_match_five_point_grids(self, monkeypatch):
+        # at the tau_c grid of scripts/make_datasets.py, 8 passes of 9 x 9
+        # grids end where 15 passes of 5 x 5 grids do
+        fine = [optimize_initial_state_spin1(OUNoise(1.0, tc)) for tc in np.logspace(-4, 2, 13)]
+        monkeypatch.setattr(protocol, "_STATE_GRID_POINTS", 5)
+        for tau_c, nine in zip(np.logspace(-4, 2, 13), fine):
+            five = optimize_initial_state_spin1(OUNoise(1.0, tau_c))
+            assert (five.passes, nine.passes) == (15, 8)
+            assert nine.r_max >= five.r_max * (1 - 1e-14)
+            assert abs(nine.theta_opt - five.theta_opt) <= 2 * config.STATE_XATOL
+            assert abs(nine.phi_opt - five.phi_opt) <= 2 * config.STATE_XATOL
 
     @pytest.mark.parametrize("tau_c", [1e-3, 0.2, 100.0])
     def test_starts_are_distinct_coarse_peaks(self, tau_c):
@@ -609,7 +622,8 @@ class TestGridMax2d:
             _CELL, _BOUNDS, xatol,
         )
         assert abs(x[0] - x_star) <= xatol and abs(y[0] - y_star) <= xatol
-        assert passes == 15
+        # (pi/2)/64/4**7 >= 1e-6 > (pi/2)/64/4**8
+        assert passes == 8
 
     @settings(max_examples=60, deadline=None)
     @given(
