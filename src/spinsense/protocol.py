@@ -50,8 +50,9 @@ _DD_MAX_N = 3.0 + 2.0 * math.sqrt(2.0)
 # Angle grid points per axis in each pass of the spin-1 state search (odd,
 # at least 5): the spacing of a 9 x 9 grid is a quarter of its half-width, so
 # recentering on the best point and quartering the half-width shrinks the box
-# by (k - 1)/2 = 4 per pass, 8 passes from one coarse cell down to
-# config.STATE_XATOL where a 5 x 5 grid needs 15.
+# by (k - 1)/2 = 4 per pass.  A pass is one batched rate solve whose time is
+# mostly fixed per-call overhead at these row counts, so fewer, wider passes
+# are faster: 8 from one coarse cell down to config.STATE_XATOL.
 _STATE_GRID_POINTS = 9
 
 
@@ -451,9 +452,8 @@ def optimize_initial_state_spin1(noise: OUNoise) -> StateOptResult:
     ``config.STATE_XATOL``: 8 passes); and reports the overlap of the winner
     with the GHZ-like state after zeroing the phases of both.  The GHZ point
     itself is part of the candidate set, so r_max can never fall below
-    r_ghz.  Each rate is
-    the maximum of the spin-1 curve's F/tau, solved by ``_spin1_rates``; a
-    rate that is not finite raises FloatingPointError.
+    r_ghz.  Each rate is the maximum of the spin-1 curve's F/tau, solved by
+    ``_spin1_rates``; a rate that is not finite raises FloatingPointError.
     """
     scan, rates, unbracketed = _spin1_rates(noise)
     n = config.STATE_GRID_SIZE

@@ -359,7 +359,8 @@ class TestValidateCommand:
     def test_negative_seed_exit_2(self, tmp_path, capsys, suite):
         out = tmp_path / "report.json"
         assert run(["validate", "--suite", suite, "--seed", "-1", "--out", str(out)]) == 2
-        assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --seed: expected a non-negative integer, got '-1'" in err
         assert not out.exists() and not (tmp_path / "report.manifest.json").exists()
 
 
