@@ -106,18 +106,25 @@ def _write_manifest(
     return path
 
 
+def _parsed(convert, text: str, expected: str, ok):
+    """``convert(text)`` if it parses and passes ``ok``; otherwise an
+    ArgumentTypeError that names the expected value."""
+    try:
+        value = convert(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{expected}, got {text!r}")
+
+
 def _half_integer(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf or abs(2 * value - round(2 * value)) > 1e-9:
-        raise argparse.ArgumentTypeError(f"spin must be a positive half-integer, got {text!r}")
-    return value
+    return _parsed(float, text, "spin must be a positive half-integer",
+                   lambda v: 0 < v < math.inf and abs(2 * v - round(2 * v)) <= 1e-9)
 
 
 def _positive(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+    return _parsed(float, text, "expected a positive finite number", lambda v: 0 < v < math.inf)
 
 
 def _require_ordered(low: float, high: float, low_flag: str, high_flag: str) -> None:
@@ -126,17 +133,11 @@ def _require_ordered(low: float, high: float, low_flag: str, high_flag: str) -> 
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+    return _parsed(int, text, "expected a positive integer", lambda v: v >= 1)
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+    return _parsed(int, text, "expected a non-negative integer", lambda v: v >= 0)
 
 
 def cmd_qfi_curve(args: argparse.Namespace) -> int:

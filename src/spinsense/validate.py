@@ -83,20 +83,28 @@ def mc_suite(seed: int, paths: int = MC_PATHS) -> list[CheckResult]:
     return checks
 
 
-_SLD_CHUNK_ROWS = 32  # density matrices per stack of the oracle's SLD route
+# matrix entries (rows x d^2) per stack of the oracle's SLD route: 32 rows at
+# d = 9, the largest dimension drawn, so no stack is larger than a 9 x 9 one
+_SLD_STACK_ENTRIES = 32 * 9**2
 
 
 def _sld_values(amps, omega, tau, chi_val, counts: dict) -> np.ndarray:
     """SLD-route QFI of each dephased amplitude row, in stacks of at most
-    _SLD_CHUNK_ROWS; ``counts`` tallies the matrices per dimension."""
+    _SLD_STACK_ENTRIES matrix entries (at least one matrix each), so small
+    matrices go in few wide stacks; each value is computed matrix by matrix
+    and does not depend on the stacking.  ``counts["sld_matrices"]`` and
+    ``counts["sld_stacks"]`` tally the matrices and stacks per dimension."""
     n, dim = amps.shape
+    step = max(1, _SLD_STACK_ENTRIES // dim**2)
     omega, tau, chi_val = (np.broadcast_to(a, (n,)) for a in (omega, tau, chi_val))
     out = np.empty(n)
-    for lo in range(0, n, _SLD_CHUNK_ROWS):
-        rows = slice(lo, lo + _SLD_CHUNK_ROWS)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
         rho = dephase(amps[rows], omega[rows], tau[rows], chi_val[rows])
         out[rows] = qfi_generic(rho, rho * (-1j * _delta_m(dim) * tau[rows, None, None]))
-    counts[str(dim)] = counts.get(str(dim), 0) + n
+    for name, added in (("sld_matrices", n), ("sld_stacks", -(-n // step))):
+        tally = counts.setdefault(name, {})
+        tally[str(dim)] = tally.get(str(dim), 0) + added
     return out
 
 
@@ -187,8 +195,10 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     ``rng.choice`` and ``rng.uniform`` calls on ``default_rng(seed)``,
     replayed in bulk from the generator's raw words (``_oracle_draws``).
     The SLD route then builds, checks and diagonalizes the density matrices
-    in stacks (GHZ states grouped by dimension, spin-1 states at d = 3),
-    sharing no code with the closed forms.
+    in stacks of at most _SLD_STACK_ENTRIES matrix entries (GHZ states
+    grouped by dimension, spin-1 states at d = 3), sharing no code with the
+    closed forms; the diagnostics count the matrices and stacks per
+    dimension.
 
     ``choice`` over five values is ``integers(5)`` and an index, and
     ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` with one double per
@@ -200,7 +210,7 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     rows, rejected = _oracle_draws(np.random.PCG64(seed), n_tuples)
     two_s, tau, chi_val, omega, theta, phi, l1, l2 = rows.T
 
-    counts: dict[str, int] = {}
+    counts: dict[str, dict[str, int]] = {}
     generic = np.empty(n_tuples)
     for k in np.unique(two_s):
         at = np.flatnonzero(two_s == k)
@@ -218,8 +228,8 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     phase_amps = _spin1_amplitudes(0.7, 0.9, phases1.ravel(), phases2.ravel())
     vals = _sld_values(phase_amps, 0.8, 0.6, 0.2, counts)
     phase_spread = float(np.max(vals) - np.min(vals))
-    _DIAGNOSTICS.get({}).update(
-        tuples=n_tuples, draws_rejected=rejected, sld_matrices=dict(sorted(counts.items())))
+    _DIAGNOSTICS.get({}).update(tuples=n_tuples, draws_rejected=rejected,
+                                **{name: dict(sorted(t.items())) for name, t in counts.items()})
     return worst_ghz, worst_spin1, phase_spread
 
 

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spinsense import OUNoise, RegimeKind, SpinQuantumNumber, cli, config, yield_rate_asymptotic
+from spinsense import (
+    OUNoise, RegimeKind, SpinQuantumNumber, cli, config, validate, yield_rate_asymptotic)
 from spinsense.protocol import _STATE_GRID_POINTS
 from spinsense.validate import CheckResult
 
@@ -96,6 +97,24 @@ class TestQfiCurve:
                     "--tau-c-max", "1"] + out) == 2
         assert not os.listdir(tmp_path)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "--suite", "dd", "--seed", "1.5"],
+         "argument --seed: expected a non-negative integer, got '1.5'"),
+        (["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1", "--points", "2.5"],
+         "argument --points: expected a positive integer, got '2.5'"),
+        (["sweep", "--param", "b", "--min", "abc", "--max", "1", "--points", "8",
+          "--s", "0.5", "--tau-c", "1"],
+         "argument --min: expected a positive finite number, got 'abc'"),
+        (["qfi-curve", "--s", "x", "--b", "1", "--tau-c", "1"],
+         "argument --s: spin must be a positive half-integer, got 'x'"),
+    ])
+    def test_unparsable_value_names_expected_value(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "never.out"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "invalid _" not in err
+        assert not os.listdir(tmp_path)
 
     def test_unknown_command_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -325,7 +344,15 @@ class TestValidateCommand:
         assert code == 1
         assert "[FAIL]" in captured.out
 
-    def test_oracle_manifest_diagnostics(self, tmp_path, capsys):
+    def test_oracle_manifest_diagnostics(self, tmp_path, capsys, monkeypatch):
+        stacks_run = []
+        generic = validate.qfi_generic
+
+        def counted(rho, drho):
+            stacks_run.append(rho.shape[-1])
+            return generic(rho, drho)
+
+        monkeypatch.setattr(validate, "qfi_generic", counted)
         out = str(tmp_path / "oracle.json")
         assert run(["validate", "--suite", "oracle", "--seed", "123", "--out", out]) == 0
         capsys.readouterr()
@@ -336,6 +363,10 @@ class TestValidateCommand:
         assert set(matrices) <= {"2", "3", "4", "5", "9"}
         # one GHZ and one spin-1 matrix per tuple, plus the 35-state phase block at d = 3
         assert sum(matrices.values()) == 2 * 1000 + 35 and matrices["3"] >= 1035
+        # one qfi_generic call per stack; stacks of at most 32 * 9^2 matrix entries
+        stacks = diag["sld_stacks"]
+        assert stacks == {str(d): stacks_run.count(d) for d in sorted(set(stacks_run))}
+        assert stacks == {"2": 1, "3": 6, "4": 2, "5": 3, "9": 5} and len(stacks_run) == 17
         report = json.load(open(out))
         assert set(report) == {"suite", "seed", "passed", "checks"}
         dd = str(tmp_path / "dd.json")

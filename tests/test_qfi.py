@@ -389,6 +389,42 @@ class TestStackedSLD:
                 qfi_generic(bad_rho, bad_drho)
 
 
+    @staticmethod
+    def random_rows(rng, n, dim):
+        amps = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        omega, tau, chi_val = rng.uniform(-2, 2, n), rng.uniform(0.05, 2, n), rng.uniform(0, 1, n)
+        chi_val[::9] = 0.0  # pure states: rank one, most eigenpairs below the cutoff
+        return amps, omega, tau, chi_val
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_sld_values_do_not_depend_on_stacking(self, dim, monkeypatch):
+        default = validate._SLD_STACK_ENTRIES
+        n = default // dim**2 + 5  # the default budget fills one stack and part of a second
+        rows = self.random_rows(np.random.default_rng(100 + dim), n, dim)
+        per_budget = []
+        for entries, stacks in ((dim**2, n), (default, 2), (n * dim**2, 1)):
+            monkeypatch.setattr(validate, "_SLD_STACK_ENTRIES", entries)
+            counts = {}
+            per_budget.append(validate._sld_values(*rows, counts))
+            assert counts == {"sld_matrices": {str(dim): n}, "sld_stacks": {str(dim): stacks}}
+        assert all(np.array_equal(values, per_budget[0]) for values in per_budget[1:])
+
+    @pytest.mark.parametrize("entries", [9, validate._SLD_STACK_ENTRIES])
+    def test_sld_values_reject_invalid_last_row(self, entries, monkeypatch):
+        n = 2 * validate._SLD_STACK_ENTRIES // 9 + 1  # the last row opens a stack of its own
+        monkeypatch.setattr(validate, "_SLD_STACK_ENTRIES", entries)
+        amps, omega, tau, chi_val = self.random_rows(np.random.default_rng(5), n, 3)
+        unnormalized = amps.copy()
+        unnormalized[-1] *= 1.01
+        with pytest.raises(ValueError, match="not normalized"):
+            validate._sld_values(unnormalized, omega, tau, chi_val, {})
+        negative_chi = chi_val.copy()
+        negative_chi[-1] = -0.1
+        with pytest.raises(ValueError, match="chi must be nonnegative"):
+            validate._sld_values(amps, omega, tau, negative_chi, {})
+
+
 # PCG64's LCG multiplier: a state s steps to s * _PCG64_MULTIPLIER + inc mod 2^128
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -450,13 +486,15 @@ class TestOracleEquivalence:
         assert contextvars.copy_context().run(stacked) == tuple(expected)
         assert diagnostics["tuples"] == 200 and diagnostics["draws_rejected"] == rejected
 
-    @pytest.mark.parametrize("seed, expected, rejected, matrices", [
+    @pytest.mark.parametrize("seed, expected, rejected, matrices, stacks", [
         (0, (2.0573279377939964e-15, 4.312438621817205e-15, 7.216449660063518e-16), 63,
-         {"2": 223, "3": 1252, "4": 196, "5": 192, "9": 172}),
+         {"2": 223, "3": 1252, "4": 196, "5": 192, "9": 172},
+         {"2": 1, "3": 6, "4": 2, "5": 2, "9": 6}),
         (123, (1.8794084293973124e-15, 5.30579379809479e-15, 7.216449660063518e-16), 45,
-         {"2": 200, "3": 1249, "4": 205, "5": 235, "9": 146}),
+         {"2": 200, "3": 1249, "4": 205, "5": 235, "9": 146},
+         {"2": 1, "3": 6, "4": 2, "5": 3, "9": 5}),
     ])
-    def test_draw_sequence_pinned(self, seed, expected, rejected, matrices):
+    def test_draw_sequence_pinned(self, seed, expected, rejected, matrices, stacks):
         # the 1000-tuple suite as drawn with rng.choice and rng.uniform: the
         # integers/random draws must reproduce the same tuples bit for bit
         diagnostics = {}
@@ -466,7 +504,8 @@ class TestOracleEquivalence:
             return oracle_checks(seed, 1000)
 
         assert contextvars.copy_context().run(stacked) == expected
-        assert diagnostics == {"tuples": 1000, "draws_rejected": rejected, "sld_matrices": matrices}
+        assert diagnostics == {"tuples": 1000, "draws_rejected": rejected,
+                               "sld_matrices": matrices, "sld_stacks": stacks}
 
     def test_closed_forms_vs_sld_random_tuples(self):
         worst_ghz, worst_spin1, phase_spread = oracle_checks(seed=777, n_tuples=300)
