@@ -388,7 +388,6 @@ class TestStackedSLD:
             with pytest.raises(ValueError):
                 qfi_generic(bad_rho, bad_drho)
 
-
     @staticmethod
     def random_rows(rng, n, dim):
         amps = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
@@ -486,17 +485,17 @@ class TestOracleEquivalence:
         assert contextvars.copy_context().run(stacked) == tuple(expected)
         assert diagnostics["tuples"] == 200 and diagnostics["draws_rejected"] == rejected
 
-    @pytest.mark.parametrize("seed, expected, rejected, matrices, stacks", [
+    @pytest.mark.parametrize("seed, expected, rejected, matrices", [
         (0, (2.0573279377939964e-15, 4.312438621817205e-15, 7.216449660063518e-16), 63,
-         {"2": 223, "3": 1252, "4": 196, "5": 192, "9": 172},
-         {"2": 1, "3": 6, "4": 2, "5": 2, "9": 6}),
+         {"2": 223, "3": 1252, "4": 196, "5": 192, "9": 172}),
         (123, (1.8794084293973124e-15, 5.30579379809479e-15, 7.216449660063518e-16), 45,
-         {"2": 200, "3": 1249, "4": 205, "5": 235, "9": 146},
-         {"2": 1, "3": 6, "4": 2, "5": 3, "9": 5}),
+         {"2": 200, "3": 1249, "4": 205, "5": 235, "9": 146}),
     ])
-    def test_draw_sequence_pinned(self, seed, expected, rejected, matrices, stacks):
+    def test_draw_sequence_pinned(self, seed, expected, rejected, matrices):
         # the 1000-tuple suite as drawn with rng.choice and rng.uniform: the
         # integers/random draws must reproduce the same tuples bit for bit
+        stacks = {0: {"2": 1, "3": 6, "4": 2, "5": 2, "9": 6},
+                  123: {"2": 1, "3": 6, "4": 2, "5": 3, "9": 5}}[seed]
         diagnostics = {}
 
         def stacked():
