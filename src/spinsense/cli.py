@@ -17,8 +17,10 @@ rows written, de-duplicated and failed; for a state optimization, per point
 the rate rows solved, the nested-grid passes, each start's angles and the
 rate it ended on, whether the GHZ point won, and the rate rows whose tau
 scan bracketed no root; for the oracle suite, the tuples drawn, the draws
-rejected and the SLD matrices per dimension).  The default output directory
-is ``$SPINSENSE_OUTDIR`` (falling back to the working directory).
+rejected and the SLD matrices and stacks per dimension (``sld_matrices``,
+``sld_stacks``); for the estimator suite, the ``repetitions``, the generator
+blocks ``rng_blocks`` and the ``flagged`` repetitions).  The default output
+directory is ``$SPINSENSE_OUTDIR`` (falling back to the working directory).
 
 Units: the gyromagnetic ratio is fixed to 1, so the estimated parameter is
 the angular precession frequency, identical to the field magnitude.

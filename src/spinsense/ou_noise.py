@@ -12,7 +12,10 @@ which crosses over from b^2 tau^2 / 2 (tau << tau_c) to b^2 tau_c tau
 extremal coherence of a spin-S probe dies in the Gaussian (quasi-static) or
 the exponential (Markovian) branch.  T2 and the yield optima are roots in
 log t, solved by one bracketed Illinois solver on log chi and its slope,
-which each coherence law (free or pulsed) gives in closed form.
+which each coherence law (free or pulsed) gives in closed form.  chi itself
+is exp(log chi) of the same law: over x = tau/tau_c in [1e-8, 1e8] it is
+within 3.4e-14 relative of a 40-digit reference, the worst just below the
+series switch at x = 0.03.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 from . import config
 from .spin_ops import SpinQuantumNumber
 
-_CHI_SERIES_BELOW = 1e-4  # below this x, evaluate x + e^-x - 1 by series
 # below this x, log chi takes x + e^-x - 1 from a six-term series: at 1e-4 the
 # difference x + expm1(-x) has lost 12 digits, at 0.03 only 2
 _LOG_CHI_SERIES_BELOW = 0.03
@@ -85,33 +87,6 @@ class DDProfile:
             raise ValueError(f"shape_c must be positive, got {self.shape_c!r}")
 
 
-def _chi_core(x: np.ndarray) -> np.ndarray:
-    # x + e^-x - 1 as x + expm1(-x), with a series for small x where even
-    # that sum cancels
-    small = x < _CHI_SERIES_BELOW
-    safe = np.where(small, 1.0, x)
-    return np.where(small, x * x * (0.5 - x * (1.0 / 6.0 - x / 24.0)), x + np.expm1(-safe))
-
-
-def _chi(b, tau_c, t: np.ndarray) -> np.ndarray:
-    """chi for noise parameters given as arrays that broadcast against t."""
-    b, tau_c = np.asarray(b, dtype=float), np.asarray(tau_c, dtype=float)
-    return b**2 * tau_c**2 * _chi_core(t / tau_c)
-
-
-def chi(noise: OUNoise, tau) -> float | np.ndarray:
-    """Half-variance of the accumulated random phase after time tau.
-
-    Exact closed form, zero at tau = 0 and strictly increasing.  Accepts a
-    scalar or an array of times.
-    """
-    t = np.asarray(tau, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("tau must be nonnegative")
-    out = _chi(noise.b, noise.tau_c, t)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class _Law:
     """A coherence law on rows: ``log_chi`` maps u = log t (one per row) to
@@ -166,7 +141,8 @@ def _free_law(b, tau_c) -> _Law:
 
 
 def _dd_law(noise: OUNoise, profile: DDProfile) -> _Law:
-    """``dd_chi`` in log form: n log x - log(c + x^(n-1)) plus 2 log(b tau_c)."""
+    """The pulsed-control law of ``dd_chi``: n log x - log(c + x^(n-1)) plus
+    2 log(b tau_c)."""
     n, log_c = profile.n, math.log(profile.shape_c)
     log_b, log_tau_c = math.log(noise.b), math.log(noise.tau_c)
 
@@ -178,6 +154,28 @@ def _dd_law(noise: OUNoise, profile: DDProfile) -> _Law:
                 n - (n - 1.0) * np.exp((n - 1.0) * lx - log_den))
 
     return _Law(log_chi, log_b, log_tau_c, n, profile.shape_c)
+
+
+def _law_chi(law: _Law, tau) -> float | np.ndarray:
+    """chi of a scalar law at a time or an array of times, as exp(log chi);
+    exactly 0 at tau = 0, where log chi is -inf."""
+    t = np.asarray(tau, dtype=float)
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise ValueError("tau must be nonnegative and finite")
+    out = np.zeros(t.shape)
+    positive = t > 0
+    out[positive] = np.exp(law.log_chi(np.log(t[positive]))[0])
+    return float(out) if out.ndim == 0 else out
+
+
+def chi(noise: OUNoise, tau) -> float | np.ndarray:
+    """Half-variance of the accumulated random phase after time tau,
+    b^2 tau_c^2 (tau/tau_c + exp(-tau/tau_c) - 1).
+
+    Exact closed form, zero at tau = 0 and strictly increasing.  Accepts a
+    scalar or an array of times.
+    """
+    return _law_chi(_free_law(noise.b, noise.tau_c), tau)
 
 
 def _illinois(h, a, z, h_a, h_z) -> np.ndarray:
@@ -429,21 +427,7 @@ def dd_chi(noise: OUNoise, profile: DDProfile, tau) -> float | np.ndarray:
     free-evolution asymptotes.  The crossover shape between the two limits
     is a modeling choice of this family, not a derived result.
     """
-    t = np.asarray(tau, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("tau must be nonnegative")
-    x = t / noise.tau_c
-    n, c = profile.n, profile.shape_c
-    # two algebraically identical branches, each overflow-free on its side
-    lo = np.minimum(x, 1.0)
-    hi = np.maximum(x, 1.0)
-    out = np.where(
-        x <= 1.0,
-        lo**n / (c + lo ** (n - 1.0)),
-        hi / (1.0 + c * hi ** (1.0 - n)),
-    )
-    out = noise.b**2 * noise.tau_c**2 * out
-    return float(out) if out.ndim == 0 else out
+    return _law_chi(_dd_law(noise, profile), tau)
 
 
 def __getattr__(name: str):

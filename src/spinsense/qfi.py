@@ -112,7 +112,7 @@ def spin1_qfi_values(theta, phi, chi_value, tau) -> np.ndarray:
     two relative phases of the state family.
     """
     theta, phi, chi_value, tau = (np.asarray(a, dtype=float) for a in (theta, phi, chi_value, tau))
-    if np.any(chi_value < 0):
+    if not np.all(chi_value >= 0):
         raise ValueError("chi must be nonnegative")
     p, q = _spin1_coefficients(theta, phi)
     return _spin1_from_coefficients(p, q, np.exp(-2.0 * chi_value), tau * tau)

@@ -116,7 +116,7 @@ def dephase(amps, omega, tau, chi) -> np.ndarray:
     """
     amps = np.asarray(amps, dtype=complex)
     omega, tau, chi = (np.asarray(a, dtype=float)[..., None] for a in (omega, tau, chi))
-    if np.any(chi < 0):
+    if not np.all(chi >= 0):
         raise ValueError(f"chi must be nonnegative, got {float(np.min(chi))!r}")
     m = (amps.shape[-1] - 1 - 2.0 * np.arange(amps.shape[-1])) / 2.0
     evolved = amps * np.exp(-1j * m * omega * tau)

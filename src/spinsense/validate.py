@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
 from .estimation import classical_fisher, simulate_and_estimate
-from .ou_noise import DDProfile, OUNoise, _chi, chi, classify, mc_coherence
+from .ou_noise import DDProfile, OUNoise, chi, classify, mc_coherence
 from .protocol import dd_scaling, yield_rate
 from .qfi import _ghz_values, ghz_qfi_values, qfi_generic, spin1_qfi_values
 from .spin_ops import SpinQuantumNumber, _delta_m, _spin1_amplitudes, dephase, ghz_like_state
@@ -157,7 +157,11 @@ def _oracle_draws(bit_generator: np.random.PCG64, n_tuples: int) -> tuple[np.nda
         words = np.concatenate([words, bit_generator.random_raw(_REPLAY_CHUNK_WORDS)])
         doubles = (words >> 11) * 2.0**-53
         noise = np.exp(_LOG_LO + _LOG_SPAN * sliding_window_view(doubles, 3))  # b, tau_c, tau
-        chi_val = _chi(*noise.T)  # b, tau_c > 0 and finite by construction
+        # chi in the arithmetic the pinned tuples were drawn with: x >= 0.05/10 needs
+        # no series, and chi is an input to both routes, not the library's chi
+        b, tau_c, tau = noise.T
+        x = tau / tau_c
+        chi_val = b**2 * tau_c**2 * (x + np.expm1(-x))
         # _ORACLE_TWO_S ascends, so a window accepts exactly the picks below its count
         allowed = np.sum(_TWO_S_SQUARED * chi_val <= 3.0, axis=0).tolist()
         low, high = _draw_index(words & 0xFFFFFFFF), _draw_index(words >> 32)
@@ -203,7 +207,7 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     ``choice`` over five values is ``integers(5)`` and an index, and
     ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()`` with one double per
     value, which the replay reproduces bit for bit.  The exponentials stay
-    numpy's ``exp`` (and ``chi`` numpy's ``expm1``): ``math.exp`` and
+    numpy's ``exp`` (and chi numpy's ``expm1``): ``math.exp`` and
     ``math.expm1`` round differently on a few percent of these draws and
     would change the tuples.
     """

@@ -46,6 +46,20 @@ class TestQfiCurve:
         data = np.array(rows, dtype=float)
         np.testing.assert_allclose(data[:, 1], (4 * data[:, 0]) ** 2, rtol=1e-6)
 
+    def test_chi_where_tau_c_squared_underflows(self, tmp_path):
+        # tau_c^2 = 1e-400 underflows, but chi = b^2 tau_c tau is 1 at
+        # tau = 1e-100, so the QFI there is (2 tau)^2 e^-8
+        out = str(tmp_path / "edge.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["qfi-curve", "--s", "1", "--b", "1e150", "--tau-c", "1e-200",
+                        "--tau-min", "1e-101", "--tau-max", "1e-99", "--points", "3",
+                        "--out", out])
+        assert code == 0
+        data = np.array(read_csv(out)[1], dtype=float)
+        assert data[1, 0] == pytest.approx(1e-100, rel=1e-15)
+        assert data[1, 1] == pytest.approx(4e-200 * math.exp(-8.0), rel=1e-12)
+
     def test_single_point(self, tmp_path):
         out = str(tmp_path / "one.csv")
         assert run(["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1",

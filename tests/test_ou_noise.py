@@ -69,13 +69,39 @@ class TestChi:
             chi_highprec(b, tau_c, tau), rel=1e-13
         )
 
-    @pytest.mark.parametrize("x", [1.01e-4, 3e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("b,tau_c", [(1.0, 1.0), (2.5, 3.0), (1e3, 1e-3)])
+    def test_against_high_precision_over_sixteen_decades(self, b, tau_c):
+        taus = tau_c * np.logspace(-8, 8, 321)
+        got = chi(OUNoise(b, tau_c), taus)
+        # x + expm1(-x) cancels 2 |log10 x| digits where x = tau/tau_c is small
+        with mp.workdps(60):
+            ref = [chi_highprec(b, tau_c, tau) for tau in taus]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("law", ["free", "pulsed"])
+    def test_finite_where_the_linear_form_overflows(self, law):
+        # b^2 tau_c^2 = 1e100 and tau/tau_c = 1e50 (both in range), but b^2
+        # alone overflows; chi = b^2 tau_c tau = 1e150 in both laws at x >> 1
+        noise, tau = OUNoise(1e200, 1e-150), 1e-100
+        value = chi(noise, tau) if law == "free" else dd_chi(noise, DDProfile(3.0), tau)
+        assert value == pytest.approx(1e150, rel=1e-13)
+
+    @pytest.mark.parametrize("tau", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("law", ["free", "pulsed"])
+    def test_rejects_tau_not_nonnegative_and_finite(self, law, tau):
+        noise = OUNoise(1.0, 1.0)
+        for value in (tau, np.array([0.5, tau])):
+            with pytest.raises(ValueError, match="tau must be nonnegative and finite"):
+                chi(noise, value) if law == "free" else dd_chi(noise, DDProfile(3.0), value)
+
+    @pytest.mark.parametrize("x", [1.01e-4, 3e-4, 1e-3, 1e-2, _LOG_CHI_SERIES_BELOW])
     def test_just_above_series_switch(self, x):
         # x + expm1(-x) keeps full accuracy where x + exp(-x) - 1 cancels
         assert chi(OUNoise(1.0, 1.0), x) == pytest.approx(chi_highprec(1.0, 1.0, x), rel=1e-12)
 
     def test_series_branch_matches_direct_branch(self):
-        # continuity across the series switchover at tau/tau_c = 1e-4
+        # continuity and accuracy around tau/tau_c = 1e-4, where x + expm1(-x)
+        # has lost 12 digits and the law takes its series
         noise = OUNoise(1.0, 1.0)
         below, above = chi(noise, 9.99e-5), chi(noise, 1.001e-4)
         assert below < above
@@ -403,6 +429,13 @@ class TestMcCoherence:
 class TestDDChi:
     def test_zero(self):
         assert dd_chi(OUNoise(1.0, 1.0), DDProfile(3), 0.0) == 0.0
+
+    @pytest.mark.parametrize("n", [1.0, 1.5, 3.0, 5.8])
+    def test_zero_at_every_exponent(self, n):
+        # log chi is -inf at tau = 0 (and n = 1 would give 0 * -inf there)
+        noise = OUNoise(1.0, 1.0)
+        assert dd_chi(noise, DDProfile(n), 0.0) == 0.0
+        assert dd_chi(noise, DDProfile(n), np.array([0.0, 1.0]))[0] == 0.0
 
     def test_n2_matches_free_short_limit(self):
         noise = OUNoise(1.2, 1.0)

@@ -18,6 +18,7 @@ from spinsense import (
     spin1_qfi_values,
 )
 from spinsense import config, validate
+from spinsense.qfi import _ghz_values
 from spinsense.spin_ops import _delta_m, _spin1_amplitudes
 from spinsense.validate import oracle_checks
 
@@ -87,6 +88,14 @@ def sld_qfi_one_matrix(rho, drho):
     return float(np.sum(2.0 * np.abs(m) ** 2 * keep / np.where(keep, denom, 1.0)))
 
 
+def oracle_chi(noise, tau):
+    """chi in the arithmetic of the oracle's draws, b^2 tau_c^2 (x + expm1(-x));
+    numpy squares (as the draws do) where Python's float ** 2 may round apart."""
+    b, tau_c = np.asarray(noise.b), np.asarray(noise.tau_c)
+    x = tau / tau_c
+    return float(b**2 * tau_c**2 * (x + np.expm1(-x)))
+
+
 def oracle_draws_per_tuple(rng, n_tuples):
     """The oracle's tuples drawn one generator call at a time with
     ``rng.choice`` and ``rng.uniform``, the reference for the replay from raw
@@ -102,7 +111,7 @@ def oracle_draws_per_tuple(rng, n_tuples):
                 float(np.exp(rng.uniform(np.log(0.01), np.log(10.0)))),
             )
             tau = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
-            if s.two_s**2 * chi(noise, tau) <= 3.0:
+            if s.two_s**2 * oracle_chi(noise, tau) <= 3.0:
                 break
         tuples.append((s, noise, tau, *(float(rng.uniform(lo, hi)) for lo, hi in (
             (-2.0, 2.0), (0.1, math.pi / 2 - 0.1), (0.1, math.pi / 2 - 0.1),
@@ -124,9 +133,9 @@ def oracle_checks_per_tuple(seed, n_tuples):
     tuples, rejected = oracle_draws_per_tuple(np.random.default_rng(seed), n_tuples)
     worst_ghz = worst_spin1 = 0.0
     for s, noise, tau, omega, theta, phi, l1, l2 in tuples:
-        chi_val = float(chi(noise, tau))
+        chi_val = oracle_chi(noise, tau)
         generic = sld_qfi_one_matrix(*dephased(ghz_like_state(s), omega, tau, chi_val))
-        closed = ghz_qfi_values(s, noise, tau)
+        closed = float(_ghz_values(s.two_s, np.asarray(chi_val), np.asarray(tau)))
         worst_ghz = max(worst_ghz, abs(generic - closed) / max(generic, closed))
 
         chi1 = min(chi_val, 0.75)
@@ -259,6 +268,11 @@ class TestSpin1ClosedForm:
     def test_rejects_negative_chi(self):
         with pytest.raises(ValueError):
             spin1_qfi_values(0.5, 0.5, -0.1, 1.0)
+
+    def test_rejects_nan_chi(self):
+        for chi_value in (math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(ValueError, match="chi must be nonnegative"):
+                spin1_qfi_values(0.5, 0.5, chi_value, 1.0)
 
     def test_monotone_degradation_in_chi(self):
         values = spin1_qfi_values(0.7, 0.9, np.linspace(0, 3, 40), 1.0)
@@ -432,7 +446,7 @@ def reference_rows(rng, n_tuples):
     """``oracle_draws_per_tuple`` as the replay's (2S, tau, chi, omega, theta,
     phi, lambda1, lambda2) rows, and the draws rejected."""
     tuples, rejected = oracle_draws_per_tuple(rng, n_tuples)
-    rows = [(s.two_s, tau, chi(noise, tau), *rest) for s, noise, tau, *rest in tuples]
+    rows = [(s.two_s, tau, oracle_chi(noise, tau), *rest) for s, noise, tau, *rest in tuples]
     return np.array(rows, dtype=float).reshape(-1, 8), rejected
 
 

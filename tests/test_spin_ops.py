@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +166,12 @@ class TestDephase:
     def test_rejects_negative_chi(self):
         with pytest.raises(ValueError):
             dephase(ghz_like_state(SpinQuantumNumber(2)), 0.0, 1.0, -0.1)
+
+    def test_rejects_nan_chi(self):
+        psi = ghz_like_state(SpinQuantumNumber(2))
+        for chi in (math.nan, [0.1, math.nan]):
+            with pytest.raises(ValueError, match="chi must be nonnegative"):
+                dephase([psi, psi], 0.0, 1.0, chi)
 
     def test_list_of_amplitudes_equals_array(self):
         psi = random_state(4, seed=3)
