@@ -23,6 +23,8 @@ SLD_EIGENVALUE_CUTOFF = 1e-12
 # so draw i never depends on how many were requested or how blocks are
 # scheduled: Monte Carlo paths (mc_coherence, sample_ou_paths) and the
 # estimator's binomial counts (simulate_and_estimate) share the block size.
+# mc_coherence draws its blocks on one thread per usable CPU (at most one per
+# block) and gives the same result for any number of CPUs.
 MC_BLOCK_SIZE = 4096
 MC_MIN_PATHS = 100
 # Time step must resolve the noise memory: dt <= tau_c / MC_DT_RESOLUTION.

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +38,7 @@ _LOG_CHI_SERIES_BELOW = 0.03
 _ROOT_TOL = 1e-12  # bracket width in log t at which a root solve stops
 _ROOT_STEP = 0.4 * _ROOT_TOL  # smallest step of a root solve, in log t
 _LN2 = math.log(2.0)  # bracket moves halve or double t
-_MC_CHUNK_ROWS = 256  # paths drawn and reduced per chunk of a Monte Carlo block
+_MC_CHUNK_ROWS = 64  # paths drawn and reduced per chunk, in each drawing thread's own buffer
 
 
 @dataclass(frozen=True)
@@ -347,6 +349,50 @@ def _phase_weights(noise: OUNoise, dt: float, steps: int) -> np.ndarray:
     return g
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _mc_steps(tau: float, dt: float) -> int:
+    """Trapezoid steps of a Monte Carlo phase over [0, tau]: dt shrunk onto tau."""
+    return max(1, math.ceil(tau / dt))
+
+
+def _mc_draw_threads(paths: int) -> int:
+    """Threads that draw one ``mc_coherence`` call: one per usable CPU, at
+    most one per block of ``config.MC_BLOCK_SIZE`` paths."""
+    return min(_usable_cpus(), -(-paths // config.MC_BLOCK_SIZE))
+
+
+def _on_threads(task: Callable[[int, int], None], workers: int) -> None:
+    """Run task(k, workers) for k = 0 .. workers - 1: k = 0 in the calling
+    thread, the others on helper threads, all joined before this returns.
+    An error raised in any of them reaches the caller."""
+    errors: list[BaseException] = []
+
+    def helper(k: int) -> None:
+        try:
+            task(k, workers)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads: list[threading.Thread] = []
+    try:
+        for k in range(1, workers):
+            threads.append(threading.Thread(target=helper, args=(k,)))
+            threads[-1].start()
+        task(0, workers)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 @dataclass(frozen=True)
 class McCoherence:
     """Monte Carlo estimate of the dephasing factor E[exp(-i 2S phase)]."""
@@ -382,6 +428,14 @@ def mc_coherence(
     independent check of the closed form.  Seeding is unchanged: block j of
     ``config.MC_BLOCK_SIZE`` paths draws one normal per path per step from
     (seed, j), and only the requested paths' rows are drawn.
+
+    The blocks are spread over one thread per usable CPU (at most one per
+    block): thread k draws blocks k, k + threads, ... in chunks of
+    _MC_CHUNK_ROWS rows into its own buffer and writes their phases into
+    disjoint slices of one array.  Drawing and the dot products release the
+    GIL, so the threads run on separate cores.  Every draw, row and reduction
+    is the same as in one thread, so the result does not depend on the
+    number of CPUs.
     """
     if paths < config.MC_MIN_PATHS:
         raise ValueError(f"paths must be >= {config.MC_MIN_PATHS}, got {paths!r}")
@@ -396,19 +450,25 @@ def mc_coherence(
         )
     if tau == 0:
         return McCoherence(1.0 + 0.0j, 0.0, 0.0, paths)
-    steps = max(1, math.ceil(tau / dt))
+    steps = _mc_steps(tau, dt)
     c = _phase_weights(noise, tau / steps, steps)
     block = config.MC_BLOCK_SIZE
     phase = np.empty(paths)
-    buf = np.empty((min(_MC_CHUNK_ROWS, paths), steps + 1))
-    for j in range((paths + block - 1) // block):
-        rng = np.random.default_rng([seed, j])
-        end = min((j + 1) * block, paths)
-        # consecutive row chunks of one stream are the rows of the whole block
-        for lo in range(j * block, end, _MC_CHUNK_ROWS):
-            xi = buf[: min(_MC_CHUNK_ROWS, end - lo)]
-            rng.standard_normal(out=xi)
-            np.matmul(xi, c, out=phase[lo : lo + len(xi)])
+
+    def draw(first: int, stride: int) -> None:
+        # blocks first, first + stride, ... into this thread's own buffer; each
+        # block's rows of phase are written by one thread only
+        buf = np.empty((min(_MC_CHUNK_ROWS, paths), steps + 1))
+        for j in range(first, -(-paths // block), stride):
+            rng = np.random.default_rng([seed, j])
+            end = min((j + 1) * block, paths)
+            # consecutive row chunks of one stream are the rows of the whole block
+            for lo in range(j * block, end, _MC_CHUNK_ROWS):
+                xi = buf[: min(_MC_CHUNK_ROWS, end - lo)]
+                rng.standard_normal(out=xi)
+                np.matmul(xi, c, out=phase[lo : lo + len(xi)])
+
+    _on_threads(draw, _mc_draw_threads(paths))
     z = np.exp(-1j * s.two_s * phase)
     return McCoherence(
         mean=complex(z.mean()),

@@ -23,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
 from .estimation import classical_fisher, simulate_and_estimate
-from .ou_noise import DDProfile, OUNoise, chi, classify, mc_coherence
+from .ou_noise import DDProfile, OUNoise, _mc_draw_threads, _mc_steps, chi, classify, mc_coherence
 from .protocol import dd_scaling, yield_rate
 from .qfi import _ghz_values, ghz_qfi_values, qfi_generic, spin1_qfi_values
 from .spin_ops import SpinQuantumNumber, _delta_m, _spin1_amplitudes, dephase, ghz_like_state
@@ -66,12 +66,16 @@ MC_PATHS = 100_000
 
 
 def mc_suite(seed: int, paths: int = MC_PATHS) -> list[CheckResult]:
-    """Sampled coherence vs exp(-(2S)^2 chi) over the three-regime grid."""
+    """Sampled coherence vs exp(-(2S)^2 chi) over the three-regime grid; the
+    diagnostics record the paths, the trapezoid steps per grid row, the
+    normals drawn and the threads that draw them."""
     checks: list[CheckResult] = []
+    steps = []
     for i, (s_val, b, tau_c, tau) in enumerate(MC_GRID):
         s = SpinQuantumNumber.from_s(s_val)
         noise = OUNoise(b, tau_c)
         dt = min(tau_c / 40.0, tau / 50.0)
+        steps.append(_mc_steps(tau, dt))
         est = mc_coherence(s, noise, tau, paths, dt, seed + i)
         target = math.exp(-s.two_s**2 * chi(noise, tau))
         regime = classify(s, noise).kind.value
@@ -80,6 +84,9 @@ def mc_suite(seed: int, paths: int = MC_PATHS) -> list[CheckResult]:
         checks.append(_check(f"{tag} im", est.mean.imag, 0.0, 3.0 * est.stderr_imag))
         if target > 0.1:
             checks.append(_check(f"{tag} re rel", est.mean.real / target, 1.0, 0.01))
+    _DIAGNOSTICS.get({}).update(paths=paths, steps=steps,
+                                normals=paths * sum(k + 1 for k in steps),
+                                draw_threads=_mc_draw_threads(paths))
     return checks
 
 

@@ -388,6 +388,24 @@ class TestValidateCommand:
         capsys.readouterr()
         assert json.load(open(tmp_path / "dd.manifest.json"))["diagnostics"] == {}
 
+    def test_mc_manifest_diagnostics(self, tmp_path, capsys, monkeypatch):
+        from spinsense import ou_noise
+
+        def fake_mc(s, noise, tau, paths, dt, seed):
+            return ou_noise.McCoherence(1.0 + 0.0j, 1.0, 1.0, paths)
+
+        monkeypatch.setattr(validate, "mc_coherence", fake_mc)
+        monkeypatch.setattr(ou_noise, "_usable_cpus", lambda: 3)
+        out = str(tmp_path / "mc.json")
+        run(["validate", "--suite", "mc", "--seed", "7", "--out", out])
+        capsys.readouterr()
+        diag = json.load(open(tmp_path / "mc.manifest.json"))["diagnostics"]
+        # 25 blocks of config.MC_BLOCK_SIZE paths per grid row, drawn on 3 threads
+        assert diag == {"paths": 100_000,
+                        "steps": [400, 1000, 400, 600, 50, 50, 80, 80, 50, 50, 50, 50],
+                        "normals": 287_200_000, "draw_threads": 3}
+        assert set(json.load(open(out))) == {"suite", "seed", "passed", "checks"}
+
     def test_estimator_manifest_diagnostics(self, tmp_path, capsys):
         out = str(tmp_path / "estimator.json")
         assert run(["validate", "--suite", "estimator", "--out", out]) == 0

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -20,13 +22,16 @@ from spinsense import (
     sample_ou_paths,
     t2,
 )
+from spinsense import config, ou_noise
 from spinsense.ou_noise import (
     _LOG_CHI_SERIES_BELOW,
     _dd_law,
     _free_law,
     _law_roots,
+    _mc_steps,
     _phase_weights,
 )
+from spinsense.validate import MC_GRID
 
 mp.mp.dps = 40
 
@@ -424,6 +429,77 @@ class TestMcCoherence:
         folded = xi @ _phase_weights(noise, dt, steps)
         spread = np.sqrt(np.mean(reference**2))
         assert np.max(np.abs(folded - reference)) <= 1e-12 * spread
+
+
+class TestMcDrawThreads:
+    """mc_coherence spreads its blocks over one thread per usable CPU; the
+    estimate does not depend on how many there are."""
+
+    @pytest.mark.parametrize(
+        "paths",
+        [3 * config.MC_BLOCK_SIZE + 100, 150],  # a partial fourth block; one partial block
+    )
+    def test_estimate_independent_of_thread_count(self, paths, monkeypatch):
+        blocks = -(-paths // config.MC_BLOCK_SIZE)
+        real_rng = np.random.default_rng
+        drawn_on = {}
+
+        def rng_on_thread(seed):
+            drawn_on[seed[1]] = threading.get_ident()
+            return real_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", rng_on_thread)
+        estimates = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            for cpus in (1, 2, 3, 5):
+                monkeypatch.setattr(ou_noise, "_usable_cpus", lambda: cpus)
+                drawn_on.clear()
+                estimates.append(mc_coherence(SpinQuantumNumber(2), OUNoise(1.0, 0.1), 0.3,
+                                              paths, 0.1 / 40, seed=5))
+                assert sorted(drawn_on) == list(range(blocks))
+                assert len(set(drawn_on.values())) == min(cpus, blocks)
+                assert drawn_on[0] == threading.get_ident()  # the caller draws block 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(est == estimates[0] for est in estimates)
+        assert estimates[0].n_paths == paths
+
+    def test_error_in_a_helper_thread_reaches_the_caller(self, monkeypatch):
+        real_rng = np.random.default_rng
+
+        def failing_rng(seed):
+            if seed[1] == 1:
+                raise RuntimeError("block 1 failed")
+            return real_rng(seed)
+
+        monkeypatch.setattr(ou_noise, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(np.random, "default_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            mc_coherence(SpinQuantumNumber(2), OUNoise(1.0, 0.1), 0.3,
+                         3 * config.MC_BLOCK_SIZE + 100, 0.1 / 40, seed=5)
+        assert threading.active_count() == before
+
+
+class TestPhaseWeightsVariance:
+    """The sampled phase xi @ c is exactly Gaussian with variance c.c, so
+    c.c / 2 is the discretized chi; taken to dt -> 0 it is chi, from the OU
+    transition and the trapezoid weights alone."""
+
+    @pytest.mark.parametrize("s_val, b, tau_c, tau", MC_GRID)
+    def test_richardson_limit_equals_chi(self, s_val, b, tau_c, tau):
+        noise = OUNoise(b, tau_c)
+        steps = _mc_steps(tau, min(tau_c / 40.0, tau / 50.0))  # the mc suite's steps
+        half_var = []
+        for n in (steps, 2 * steps, 4 * steps):
+            c = _phase_weights(noise, tau / n, n)
+            half_var.append(float(c @ c) / 2)
+        # the trapezoid error runs in even powers of dt: two Richardson levels
+        level1 = [(4 * fine - coarse) / 3 for coarse, fine in zip(half_var, half_var[1:])]
+        limit = (16 * level1[1] - level1[0]) / 15
+        assert limit == pytest.approx(chi(noise, tau), rel=1e-12, abs=0)
 
 
 class TestDDChi:
