@@ -16,11 +16,13 @@ RNG algorithm, the produced files and solver diagnostics (for a sweep, the
 rows written, de-duplicated and failed; for a state optimization, per point
 the rate rows solved, the nested-grid passes, each start's angles and the
 rate it ended on, whether the GHZ point won, and the rate rows whose tau
-scan bracketed no root; for the oracle suite, the tuples drawn, the draws
-rejected and the SLD matrices and stacks per dimension (``sld_matrices``,
-``sld_stacks``); for the estimator suite, the ``repetitions``, the generator
-blocks ``rng_blocks`` and the ``flagged`` repetitions).  The default output
-directory is ``$SPINSENSE_OUTDIR`` (falling back to the working directory).
+scan bracketed no root; for the mc suite, the ``paths``, the trapezoid
+``steps`` per grid row, the ``normals`` drawn and the ``draw_threads``; for
+the oracle suite, the tuples drawn, the draws rejected and the SLD matrices
+and stacks per dimension (``sld_matrices``, ``sld_stacks``); for the
+estimator suite, the ``repetitions``, the generator blocks ``rng_blocks``
+and the ``flagged`` repetitions).  The default output directory is
+``$SPINSENSE_OUTDIR`` (falling back to the working directory).
 
 Units: the gyromagnetic ratio is fixed to 1, so the estimated parameter is
 the angular precession frequency, identical to the field magnitude.
