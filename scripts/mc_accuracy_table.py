@@ -41,7 +41,7 @@ def main() -> int:
         target = math.exp(-s.two_s**2 * chi(noise, tau))
         pull = (est.mean.real - target) / est.stderr_real
         ipull = est.mean.imag / est.stderr_imag
-        regime = classify(s, noise).kind.value
+        regime = classify(s.two_s * b * tau_c).value
         print(f"{regime:>13} {s_val:>4g} {b:>5g} {tau_c:>7g} {tau:>6g} "
               f"{est.mean.real:>10.6f} {target:>10.6f} {pull:>+6.2f} {ipull:>+9.2f}")
         worst = max(worst, abs(pull), abs(ipull))

@@ -16,7 +16,6 @@ from .estimation import (
 from .ou_noise import (
     DDProfile,
     McCoherence,
-    NoiseRegime,
     OUNoise,
     RegimeKind,
     chi,
@@ -31,7 +30,6 @@ from .protocol import (
     ExponentFit,
     StateOptResult,
     SweepTable,
-    YieldMethod,
     YieldResult,
     dd_scaling,
     fit_loglog_exponent,
@@ -57,13 +55,11 @@ __all__ = [
     "EstimationRun",
     "ExponentFit",
     "McCoherence",
-    "NoiseRegime",
     "OUNoise",
     "RegimeKind",
     "SpinQuantumNumber",
     "StateOptResult",
     "SweepTable",
-    "YieldMethod",
     "YieldResult",
     "chi",
     "classical_fisher",

@@ -37,7 +37,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -54,18 +54,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int | None
-    rng_algorithm: str
-    version: str
-    duration_s: float
-    outputs: list[str]
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _fmt(x: float) -> str:
@@ -92,20 +80,20 @@ def _write_manifest(
     out_path: str, command: str, parameters: dict, seed: int | None,
     started: float, outputs: list[str], diagnostics: dict | None = None,
 ) -> str:
-    manifest = RunManifest(
-        command=command,
-        parameters=parameters,
-        seed=seed,
-        rng_algorithm=config.RNG_ALGORITHM,
-        version=__version__,
-        duration_s=time.time() - started,
-        outputs=[os.path.basename(p) for p in outputs],
-        diagnostics=diagnostics or {},
-    )
+    manifest = {
+        "command": command,
+        "parameters": parameters,
+        "seed": seed,
+        "rng_algorithm": config.RNG_ALGORITHM,
+        "version": __version__,
+        "duration_s": time.time() - started,
+        "outputs": [os.path.basename(p) for p in outputs],
+        "diagnostics": diagnostics or {},
+    }
     base, _ = os.path.splitext(out_path)
     path = base + ".manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -257,7 +245,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "suite": args.suite,
         "seed": args.seed,
         "passed": all_passed,
-        "checks": [c.as_dict() for c in checks],
+        "checks": [asdict(c) for c in checks],
     }
     out = _resolve_out(args.out, f"validate_{args.suite}.json")
     with open(out, "w", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .ou_noise import OUNoise, chi
+from .ou_noise import OUNoise, _check_count, chi
 from .spin_ops import SpinQuantumNumber
 
 # local-estimation window: the prior phase must sit on the monotone branch
@@ -75,15 +75,6 @@ def classical_fisher(s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: fl
     if denom <= 0:
         raise ValueError("degenerate outcome distribution: P is 0 or 1")
     return (s.two_s * tau) ** 2 * v**2 * math.sin(theta) ** 2 / denom
-
-
-def _check_count(name: str, value) -> None:
-    # bool is an int subclass; a float, even 500.0, is refused: binomial truncates
-    # a non-integral nu while the count fraction and the bound would use it as given
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 def _binomial_counts(nu: int, p: float, seed: int, repetitions: int) -> np.ndarray:

@@ -62,14 +62,6 @@ class RegimeKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class NoiseRegime:
-    """Regime label together with the memory parameter 2*S*b*tau_c it came from."""
-
-    kind: RegimeKind
-    markov_param: float
-
-
-@dataclass(frozen=True)
 class DDProfile:
     """Short-time power law tau^n imprinted on chi by pulsed control.
 
@@ -272,24 +264,27 @@ def dd_t2(s: SpinQuantumNumber, noise: OUNoise, profile: DDProfile) -> float:
     return _t2(_dd_law(noise, profile), s, f"pulsed-control T2 at 2S={s.two_s}, n={profile.n!r}")
 
 
-def classify(s: SpinQuantumNumber, noise: OUNoise) -> NoiseRegime:
-    """Bin the noise by the memory parameter 2*S*b*tau_c.
+def classify(markov_param: float) -> RegimeKind:
+    """Regime of the memory parameter 2*S*b*tau_c, which the caller computes.
 
     Below ``config.MARKOVIAN_BELOW`` the decay is effectively exponential,
-    above ``config.QUASI_STATIC_ABOVE`` effectively Gaussian; the parameter
-    is reported so callers can re-bin with their own thresholds.
+    above ``config.QUASI_STATIC_ABOVE`` effectively Gaussian, else intermediate.
     """
-    param = s.two_s * noise.b * noise.tau_c
-    return NoiseRegime(_regime_kind(param), param)
-
-
-def _regime_kind(param: float) -> RegimeKind:
-    """Regime of a memory parameter 2*S*b*tau_c under the config thresholds."""
-    if param < config.MARKOVIAN_BELOW:
+    if markov_param < config.MARKOVIAN_BELOW:
         return RegimeKind.MARKOVIAN
-    if param > config.QUASI_STATIC_ABOVE:
+    if markov_param > config.QUASI_STATIC_ABOVE:
         return RegimeKind.QUASI_STATIC
     return RegimeKind.INTERMEDIATE
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """ValueError unless value is an integer (not a bool) of at least ``least``."""
+    # bool is an int subclass; a float, even 500.0, is refused: binomial truncates
+    # a non-integral count, and a float size or seed fails deep inside numpy
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def _ou_step(noise: OUNoise, dt: float) -> tuple[float, float]:
@@ -308,13 +303,13 @@ def sample_ou_paths(noise: OUNoise, dt: float, steps: int, n_paths: int, seed: i
     in fixed blocks of ``config.MC_BLOCK_SIZE``, block j seeded as
     (seed, j), path i taking its steps + 1 normals from row i mod block of
     that block's stream; path i is therefore independent of n_paths and of
-    how blocks are distributed over workers.
+    how blocks are distributed over workers.  steps and n_paths must be
+    integers >= 1 and seed an integer >= 0 (a bool or a float is refused).
     """
     alpha, sigma_step = _ou_step(noise, dt)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
+    _check_count("steps", steps)
+    _check_count("n_paths", n_paths)
+    _check_count("seed", seed, 0)
     from scipy.signal import lfilter  # here, so that importing spinsense loads no scipy
 
     block = config.MC_BLOCK_SIZE
@@ -435,10 +430,11 @@ def mc_coherence(
     disjoint slices of one array.  Drawing and the dot products release the
     GIL, so the threads run on separate cores.  Every draw, row and reduction
     is the same as in one thread, so the result does not depend on the
-    number of CPUs.
+    number of CPUs.  paths must be an integer >= ``config.MC_MIN_PATHS`` and
+    seed an integer >= 0 (a bool or a float is refused).
     """
-    if paths < config.MC_MIN_PATHS:
-        raise ValueError(f"paths must be >= {config.MC_MIN_PATHS}, got {paths!r}")
+    _check_count("paths", paths, config.MC_MIN_PATHS)
+    _check_count("seed", seed, 0)
     if not 0 <= tau < math.inf:
         raise ValueError(f"tau must be nonnegative and finite, got {tau!r}")
     _ou_step(noise, dt)  # rejects a dt that is not positive and finite

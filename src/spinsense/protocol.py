@@ -17,7 +17,6 @@ bracket of a log-grid scan.  A ``yield_rate`` call is the one-row case.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -27,7 +26,6 @@ import numpy as np
 from . import config
 from .ou_noise import (
     DDProfile,
-    NoiseRegime,
     OUNoise,
     RegimeKind,
     _dd_law,
@@ -35,7 +33,6 @@ from .ou_noise import (
     _illinois,
     _Law,
     _law_roots,
-    _regime_kind,
     classify,
     t2,
 )
@@ -56,18 +53,10 @@ _DD_MAX_N = 3.0 + 2.0 * math.sqrt(2.0)
 _STATE_GRID_POINTS = 9
 
 
-class YieldMethod(enum.Enum):
-    NUMERIC = "numeric"
-    ASYMPTOTIC_QUASI_STATIC = "asymptotic_quasi_static"
-    ASYMPTOTIC_MARKOVIAN = "asymptotic_markovian"
-
-
 @dataclass(frozen=True)
 class YieldResult:
     rate: float
     tau_opt: float
-    regime: NoiseRegime
-    method: YieldMethod
 
     def __post_init__(self):
         if self.rate < 0 or self.tau_opt <= 0:
@@ -153,49 +142,44 @@ def yield_rate(s: SpinQuantumNumber, noise: OUNoise) -> YieldResult:
     tau_opt, rate = _ghz_optima(_free_law(noise.b, noise.tau_c), [s.two_s])
     if not (np.isfinite(rate[0]) and np.isfinite(tau_opt[0])):
         raise FloatingPointError(f"yield rate at 2S={s.two_s}, {noise!r} is not finite")
-    return YieldResult(float(rate[0]), float(tau_opt[0]), classify(s, noise), YieldMethod.NUMERIC)
+    return YieldResult(float(rate[0]), float(tau_opt[0]))
 
 
 def yield_rate_asymptotic(s: SpinQuantumNumber, noise: OUNoise, regime: RegimeKind) -> YieldResult:
-    """Closed-form yield rate deep in a limiting regime.
+    """Closed-form yield rate deep in the limiting ``regime``, which picks the
+    form and is not checked against the noise (see ``classify``).
 
     Quasi-static: R = sqrt(2/e) S/b at tau_opt = 1/(sqrt(2) 2S b).
     Markovian:    R = 1/(2e b^2 tau_c) at tau_opt = 1/(2 (2Sb)^2 tau_c).
-    Both optima equal T2/2 in their regime.
+    Both optima equal T2/2 in their regime; INTERMEDIATE raises ValueError.
     """
     if regime == RegimeKind.QUASI_STATIC:
-        rate = math.sqrt(2.0 / math.e) * s.s / noise.b
-        tau_opt = 1.0 / (math.sqrt(2.0) * s.two_s * noise.b)
-        method = YieldMethod.ASYMPTOTIC_QUASI_STATIC
-    elif regime == RegimeKind.MARKOVIAN:
-        rate = 1.0 / (2.0 * math.e * noise.b**2 * noise.tau_c)
-        tau_opt = 1.0 / (2.0 * (s.two_s * noise.b) ** 2 * noise.tau_c)
-        method = YieldMethod.ASYMPTOTIC_MARKOVIAN
-    else:
-        raise ValueError(f"no closed form in regime {regime!r}")
-    return YieldResult(rate, tau_opt, classify(s, noise), method)
+        return YieldResult(math.sqrt(2.0 / math.e) * s.s / noise.b,
+                           1.0 / (math.sqrt(2.0) * s.two_s * noise.b))
+    if regime == RegimeKind.MARKOVIAN:
+        return YieldResult(1.0 / (2.0 * math.e * noise.b**2 * noise.tau_c),
+                           1.0 / (2.0 * (s.two_s * noise.b) ** 2 * noise.tau_c))
+    raise ValueError(f"no closed form in regime {regime!r}")
 
 
-def _fit_window(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+def fit_loglog_exponent(table: SweepTable, window: tuple[int, int]) -> ExponentFit:
+    """Power-law exponent of rate vs swept value over rows [lo, hi), which
+    must be >= 4 rows of the table, all with finite positive rates."""
+    lo, hi = window
+    if lo < 0 or hi > len(table):
+        raise ValueError(f"fit window {window!r} is not within the table's {len(table)} rows")
+    if hi - lo < 4:
+        raise ValueError(f"fit window needs >= 4 points, got {hi - lo}")
+    x, y = table.values[lo:hi], table.rates[lo:hi]
+    if not np.all(np.isfinite(y) & (y > 0)):
+        raise ValueError("all rates in the fit window must be finite and positive")
     # least squares on centred logs, in closed form: a line needs no LAPACK,
     # whose first call costs a process 1.4 MB of resident memory
     logx, logy = np.log(x), np.log(y)
     dx = logx - logx.mean()
     slope = float(np.sum(dx * (logy - logy.mean())) / np.sum(dx * dx))
     intercept = float(logy.mean() - slope * logx.mean())
-    return slope, intercept, float(np.max(np.abs(logy - (slope * logx + intercept))))
-
-
-def fit_loglog_exponent(table: SweepTable, window: tuple[int, int]) -> ExponentFit:
-    """Power-law exponent of rate vs swept value over rows [lo, hi)."""
-    lo, hi = window
-    if hi - lo < 4:
-        raise ValueError(f"fit window needs >= 4 points, got {hi - lo}")
-    x = table.values[lo:hi]
-    y = table.rates[lo:hi]
-    if np.any(y <= 0):
-        raise ValueError("all rates in the fit window must be positive")
-    slope, intercept, resid = _fit_window(x, y)
+    resid = float(np.max(np.abs(logy - (slope * logx + intercept))))
     return ExponentFit(slope, intercept, resid, (lo, hi), hi - lo)
 
 
@@ -250,7 +234,7 @@ def _solve_table(
         rates=np.where(ok, rate, np.nan),
         tau_opts=np.where(ok, tau_opt, np.nan),
         markov_params=markov_params,
-        regimes=tuple(_regime_kind(p) for p in markov_params),
+        regimes=tuple(classify(p) for p in markov_params),
     )
     fits = {
         label: fit_loglog_exponent(table, window)

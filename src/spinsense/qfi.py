@@ -131,13 +131,14 @@ def drho_domega(amps: np.ndarray, omega, tau, chi_value) -> np.ndarray:
     return rho * (-1j * _delta_m(rho.shape[-1]) * tau)
 
 
-def qfi_generic(rho: np.ndarray, drho: np.ndarray, cutoff: float = config.SLD_EIGENVALUE_CUTOFF):
+def qfi_generic(rho: np.ndarray, drho: np.ndarray):
     """Mixed-state QFI of each matrix of (..., d, d) stacks of rho and drho.
 
     F = sum over eigenpairs of 2 |<i| drho |j>|^2 / (p_i + p_j), skipping
-    pairs with p_i + p_j <= cutoff.  Works for any parameterization; serves
-    as the independent oracle for the closed forms.  One batched eigh, whose
-    eigenvalues serve the density checks of rho (``_check_density``).
+    pairs with p_i + p_j <= ``config.SLD_EIGENVALUE_CUTOFF``.  Works for any
+    parameterization; serves as the independent oracle for the closed forms.
+    One batched eigh, whose eigenvalues serve the density checks of rho
+    (``_check_density``).
     """
     if np.max(np.abs(drho - drho.conj().swapaxes(-1, -2))) > _DRHO_HERMITICITY_TOL:
         raise ValueError("drho is not Hermitian")
@@ -145,6 +146,6 @@ def qfi_generic(rho: np.ndarray, drho: np.ndarray, cutoff: float = config.SLD_EI
     _check_density(rho, p)
     m = u.conj().swapaxes(-1, -2) @ drho @ u
     denom = p[..., :, None] + p[..., None, :]
-    keep = denom > cutoff
+    keep = denom > config.SLD_EIGENVALUE_CUTOFF
     terms = 2.0 * np.abs(m) ** 2 * keep / np.where(keep, denom, 1.0)
     return terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)

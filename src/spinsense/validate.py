@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,9 +36,6 @@ class CheckResult:
     expected: float
     tolerance: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check(name: str, measured: float, expected: float, tolerance: float) -> CheckResult:
@@ -65,10 +62,10 @@ MC_GRID: tuple[tuple[float, float, float, float], ...] = (
 MC_PATHS = 100_000
 
 
-def mc_suite(seed: int, paths: int = MC_PATHS) -> list[CheckResult]:
-    """Sampled coherence vs exp(-(2S)^2 chi) over the three-regime grid; the
-    diagnostics record the paths, the trapezoid steps per grid row, the
-    normals drawn and the threads that draw them."""
+def mc_suite(seed: int) -> list[CheckResult]:
+    """Sampled coherence vs exp(-(2S)^2 chi) over the three-regime grid, MC_PATHS
+    paths per row; the diagnostics record the paths, the trapezoid steps per
+    grid row, the normals drawn and the threads that draw them."""
     checks: list[CheckResult] = []
     steps = []
     for i, (s_val, b, tau_c, tau) in enumerate(MC_GRID):
@@ -76,17 +73,17 @@ def mc_suite(seed: int, paths: int = MC_PATHS) -> list[CheckResult]:
         noise = OUNoise(b, tau_c)
         dt = min(tau_c / 40.0, tau / 50.0)
         steps.append(_mc_steps(tau, dt))
-        est = mc_coherence(s, noise, tau, paths, dt, seed + i)
+        est = mc_coherence(s, noise, tau, MC_PATHS, dt, seed + i)
         target = math.exp(-s.two_s**2 * chi(noise, tau))
-        regime = classify(s, noise).kind.value
+        regime = classify(s.two_s * b * tau_c).value
         tag = f"mc[{i}] {regime} S={s_val:g} b={b:g} tau_c={tau_c:g} tau={tau:g}"
         checks.append(_check(f"{tag} re", est.mean.real, target, 3.0 * est.stderr_real))
         checks.append(_check(f"{tag} im", est.mean.imag, 0.0, 3.0 * est.stderr_imag))
         if target > 0.1:
             checks.append(_check(f"{tag} re rel", est.mean.real / target, 1.0, 0.01))
-    _DIAGNOSTICS.get({}).update(paths=paths, steps=steps,
-                                normals=paths * sum(k + 1 for k in steps),
-                                draw_threads=_mc_draw_threads(paths))
+    _DIAGNOSTICS.get({}).update(paths=MC_PATHS, steps=steps,
+                                normals=MC_PATHS * sum(k + 1 for k in steps),
+                                draw_threads=_mc_draw_threads(MC_PATHS))
     return checks
 
 
@@ -244,8 +241,9 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     return worst_ghz, worst_spin1, phase_spread
 
 
-def oracle_suite(seed: int, n_tuples: int = 1000) -> list[CheckResult]:
-    worst_ghz, worst_spin1, phase_spread = oracle_checks(seed, n_tuples)
+def oracle_suite(seed: int) -> list[CheckResult]:
+    """``oracle_checks`` on 1000 tuples against their bounds."""
+    worst_ghz, worst_spin1, phase_spread = oracle_checks(seed, 1000)
     return [
         _check("oracle ghz closed-form vs sld (worst rel)", worst_ghz, 0.0, 1e-8),
         _check("oracle spin-1 closed-form vs sld (worst rel)", worst_spin1, 0.0, 1e-8),

@@ -105,13 +105,24 @@ class TestChi:
         assert chi(OUNoise(1.0, 1.0), x) == pytest.approx(chi_highprec(1.0, 1.0, x), rel=1e-12)
 
     def test_series_branch_matches_direct_branch(self):
-        # continuity and accuracy around tau/tau_c = 1e-4, where x + expm1(-x)
-        # has lost 12 digits and the law takes its series
+        # continuity and accuracy around x = _LOG_CHI_SERIES_BELOW, where log chi
+        # switches from its six-term series to x + expm1(-x).  The series drops
+        # x^6/8!, 3.6e-14 of chi at x = 0.03, so near the switch log chi and the
+        # slope are within 5e-14 of mpmath, on the series side too
+        below, above = _LOG_CHI_SERIES_BELOW * (1 - 1e-9), _LOG_CHI_SERIES_BELOW * (1 + 1e-9)
+        u = np.log([0.0105, 0.0295, 0.0299, below, above])
+        assert np.exp(u[3]) < _LOG_CHI_SERIES_BELOW <= np.exp(u[4])  # one row on each branch
+        log_chi, slope = _free_law(1.0, 1.0).log_chi(u)
+        for v, got, got_slope in zip(u, log_chi, slope):
+            x = mp.exp(mp.mpf(v))
+            with mp.workdps(60):
+                core = x + mp.expm1(-x)
+                ref, ref_slope = mp.log(core), x * -mp.expm1(-x) / core
+            assert abs(got - float(ref)) <= 5e-14
+            assert abs(got_slope / float(ref_slope) - 1.0) <= 5e-14
+        assert log_chi[3] < log_chi[4]
         noise = OUNoise(1.0, 1.0)
-        below, above = chi(noise, 9.99e-5), chi(noise, 1.001e-4)
-        assert below < above
-        assert chi(noise, 1.0001e-4) == pytest.approx(chi_highprec(1.0, 1.0, 1.0001e-4), rel=1e-10)
-        assert chi(noise, 0.9999e-4) == pytest.approx(chi_highprec(1.0, 1.0, 0.9999e-4), rel=1e-10)
+        assert chi(noise, below) < chi(noise, above)
 
     def test_strictly_increasing_over_twelve_decades(self):
         noise = OUNoise(1.3, 0.7)
@@ -292,20 +303,21 @@ class TestLogLaws:
 
 
 class TestClassify:
+    """classify bins the memory parameter 2S b tau_c that its caller computes."""
+
     def test_markovian(self):
-        regime = classify(SpinQuantumNumber(1), OUNoise(1.0, 1e-3))
-        assert regime.kind is RegimeKind.MARKOVIAN
-        assert regime.markov_param == pytest.approx(1e-3)
+        assert classify(1 * 1.0 * 1e-3) is RegimeKind.MARKOVIAN
+        assert classify(math.nextafter(config.MARKOVIAN_BELOW, 0.0)) is RegimeKind.MARKOVIAN
 
     def test_quasi_static(self):
-        regime = classify(SpinQuantumNumber(1), OUNoise(1.0, 100.0))
-        assert regime.kind is RegimeKind.QUASI_STATIC
-        assert regime.markov_param == pytest.approx(100.0)
+        assert classify(1 * 1.0 * 100.0) is RegimeKind.QUASI_STATIC
+        assert classify(math.nextafter(config.QUASI_STATIC_ABOVE, math.inf)) is RegimeKind.QUASI_STATIC
 
     def test_intermediate_large_spin(self):
-        regime = classify(SpinQuantumNumber(1000), OUNoise(1.0, 1e-3))
-        assert regime.kind is RegimeKind.INTERMEDIATE
-        assert regime.markov_param == pytest.approx(1.0)
+        # 2S = 1000 lifts tau_c = 1e-3 out of the Markovian bin
+        assert classify(SpinQuantumNumber(1000).two_s * 1.0 * 1e-3) is RegimeKind.INTERMEDIATE
+        for edge in (config.MARKOVIAN_BELOW, config.QUASI_STATIC_ABOVE):
+            assert classify(edge) is RegimeKind.INTERMEDIATE
 
 
 class TestPathSampler:
@@ -346,6 +358,13 @@ class TestPathSampler:
         for dt in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="dt must be positive"):
                 sample_ou_paths(noise, dt, 10, 1, 1)
+        # counts and seeds that are not integers (a float or a bool) or too small
+        for steps, n_paths, seed, name in [
+            (10, 5.0, 1, "n_paths"), (10, True, 1, "n_paths"), (10.0, 5, 1, "steps"),
+            (True, 5, 1, "steps"), (10, 5, -1, "seed"), (10, 5, 1.0, "seed"), (10, 5, False, "seed"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                sample_ou_paths(noise, 0.1, steps, n_paths, seed)
 
 
 def trapezoid(dt, steps):
@@ -382,6 +401,21 @@ class TestMcCoherence:
     def test_rejects_few_paths(self):
         with pytest.raises(ValueError):
             mc_coherence(SpinQuantumNumber(1), OUNoise(1.0, 0.1), 1.0, 50, 1e-3, 1)
+
+    @pytest.mark.parametrize("paths, seed, name", [
+        (150.0, 1, "paths"), (True, 1, "paths"), (np.float64(4096), 1, "paths"),
+        (150, -1, "seed"), (150, 1.5, "seed"), (150, 2.0, "seed"), (150, True, "seed"),
+    ])
+    @pytest.mark.parametrize("tau", [0.0, 1.0])
+    def test_rejects_non_integer_paths_and_seed(self, paths, seed, name, tau):
+        # rejected on entry, also where tau = 0 draws nothing
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            mc_coherence(SpinQuantumNumber(1), OUNoise(1.0, 0.1), tau, paths, 1e-3, seed)
+
+    def test_accepts_numpy_integers(self):
+        est = mc_coherence(SpinQuantumNumber(1), OUNoise(1.0, 0.1), 0.1, np.int64(150), 1e-3,
+                           np.uint32(3))
+        assert est == mc_coherence(SpinQuantumNumber(1), OUNoise(1.0, 0.1), 0.1, 150, 1e-3, 3)
 
     @pytest.mark.parametrize("dt", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_dt(self, dt):

@@ -13,8 +13,8 @@ from spinsense import (
     RegimeKind,
     SpinQuantumNumber,
     SweepTable,
-    YieldMethod,
     chi,
+    classify,
     dd_chi,
     dd_scaling,
     dephase,
@@ -117,7 +117,7 @@ class TestYieldRate:
         result = yield_rate(s, noise)
         assert result.rate == pytest.approx(SQRT_2_OVER_E * s.s / noise.b, rel=0.02)
         assert result.tau_opt == pytest.approx(1.0 / (math.sqrt(2.0) * s.two_s * noise.b), rel=0.02)
-        assert result.regime.kind is RegimeKind.QUASI_STATIC
+        assert classify(s.two_s * noise.b * noise.tau_c) is RegimeKind.QUASI_STATIC
 
     def test_markovian_asymptote(self):
         # memory parameter 0.01
@@ -158,16 +158,13 @@ class TestYieldRate:
             changes = np.count_nonzero(np.diff(signs[signs != 0]))
             assert changes == 1  # rises once, falls once
 
-    def test_method_tag(self):
-        assert yield_rate(SpinQuantumNumber(1), OUNoise(1.0, 1.0)).method is YieldMethod.NUMERIC
-
 
 class TestYieldRateAsymptotic:
     def test_quasi_static_value(self):
         result = yield_rate_asymptotic(SpinQuantumNumber(2), OUNoise(1.0, 100.0),
                                        RegimeKind.QUASI_STATIC)
         assert result.rate == pytest.approx(0.857763884960707, rel=1e-12)
-        assert result.method is YieldMethod.ASYMPTOTIC_QUASI_STATIC
+        assert result.tau_opt == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
 
     def test_markovian_value(self):
         result = yield_rate_asymptotic(SpinQuantumNumber(1), OUNoise(1.0, 1e-3),
@@ -396,16 +393,20 @@ class TestFitLogLog:
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_small_window(self):
-        x = np.logspace(0, 1, 8)
-        with pytest.raises(ValueError):
-            fit_loglog_exponent(self._table(x, x), (0, 3))
+        # too few rows, and windows that reach past either end of the table
+        x = np.logspace(0, 1, 10)
+        for window in [(0, 3), (0, 1000), (-4, 10), (-1, 5), (6, 11)]:
+            with pytest.raises(ValueError):
+                fit_loglog_exponent(self._table(x, x), window)
 
     def test_rejects_nonpositive_rates(self):
+        # a zero, a negative and a failed (NaN) row, and an infinite rate
         x = np.logspace(0, 1, 8)
-        rates = np.ones(8)
-        rates[3] = 0.0
-        with pytest.raises(ValueError):
-            fit_loglog_exponent(self._table(x, rates), (0, 8))
+        for bad in [0.0, -1.0, np.nan, np.inf]:
+            rates = np.ones(8)
+            rates[3] = bad
+            with pytest.raises(ValueError):
+                fit_loglog_exponent(self._table(x, rates), (0, 8))
 
 
 # amplitude angles, with the axes drawn often: there sin(theta) or Q(D)
