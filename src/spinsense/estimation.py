@@ -107,12 +107,13 @@ def simulate_and_estimate(
     blocks of ``config.MC_BLOCK_SIZE`` repetitions, block j from a generator
     seeded as (seed, j), the scheme of ``mc_coherence``: results do not
     depend on how blocks are scheduled, and a run's counts are a prefix of
-    any longer run's.  nu and repetitions must be integers >= 1 (a bool or
-    a float is refused).  With nu = 1 every repetition is flagged and the
+    any longer run's.  nu and repetitions must be integers >= 1 and seed an
+    integer >= 0 (a bool or a float is refused).  With nu = 1 every repetition is flagged and the
     aggregate statistics are NaN.
     """
     _check_count("nu", nu)
     _check_count("repetitions", repetitions)
+    _check_count("seed", seed, 0)
     theta_true = s.two_s * omega_true * tau
     if not (_PHASE_LO <= theta_true <= _PHASE_HI):
         raise ValueError(

@@ -175,13 +175,14 @@ class TestSimulateAndEstimate:
 
     @pytest.mark.parametrize("bad", [{"nu": 500.7}, {"nu": 500.0}, {"nu": True},
                                      {"repetitions": True}, {"repetitions": 60.0},
-                                     {"nu": 0}, {"repetitions": 0}])
+                                     {"nu": 0}, {"repetitions": 0},
+                                     {"seed": -1}, {"seed": 1.5}, {"seed": True}])
     def test_rejects_non_integer_counts(self, bad):
         s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.15
         omega = (math.pi / 2) / (s.two_s * tau)
-        kwargs = {"nu": 500, "repetitions": 60, **bad}
-        with pytest.raises(ValueError, match="nu|repetitions"):
-            simulate_and_estimate(s, noise, tau, omega, seed=11, **kwargs)
+        kwargs = {"nu": 500, "repetitions": 60, "seed": 11, **bad}
+        with pytest.raises(ValueError, match="^(nu|repetitions|seed) must be"):
+            simulate_and_estimate(s, noise, tau, omega, **kwargs)
 
     def test_accepts_numpy_integers(self):
         s, noise, tau = SpinQuantumNumber(4), OUNoise(1.0, 0.1), 0.15
