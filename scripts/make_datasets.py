@@ -7,6 +7,7 @@ Produces the information curves for S=4 and S=8, the three scaling sweeps,
 and the spin-1 state-optimization scan across memory times.
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -43,5 +44,7 @@ def run(outdir: Path) -> int:
 
 
 if __name__ == "__main__":
-    outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("datasets")
-    sys.exit(run(outdir))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", nargs="?", type=Path, default=Path("datasets"),
+                        help="directory for the CSVs and manifests (default: ./datasets)")
+    sys.exit(run(parser.parse_args().outdir))

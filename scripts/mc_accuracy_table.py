@@ -13,11 +13,10 @@ deviate, so one of the 24 pulls passes 4 with probability about 1.5e-3.
 """
 
 import argparse
-import math
 import sys
 
-from spinsense import OUNoise, SpinQuantumNumber, chi, classify, mc_coherence
-from spinsense.validate import MC_GRID
+from spinsense import config
+from spinsense.validate import MC_GRID, _mc_row
 
 PULL_BOUND = 4.0
 
@@ -27,6 +26,10 @@ def main() -> int:
     parser.add_argument("--paths", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
+    if args.paths < config.MC_MIN_PATHS:
+        parser.error(f"--paths must be >= {config.MC_MIN_PATHS}, got {args.paths}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     header = (f"{'regime':>13} {'S':>4} {'b':>5} {'tau_c':>7} {'tau':>6} "
               f"{'mc real':>10} {'analytic':>10} {'pull':>6} {'imag pull':>9}")
@@ -34,14 +37,9 @@ def main() -> int:
     print("-" * len(header))
     worst = 0.0
     for i, (s_val, b, tau_c, tau) in enumerate(MC_GRID):
-        s = SpinQuantumNumber.from_s(s_val)
-        noise = OUNoise(b, tau_c)
-        dt = min(tau_c / 40.0, tau / 50.0)
-        est = mc_coherence(s, noise, tau, args.paths, dt, args.seed + i)
-        target = math.exp(-s.two_s**2 * chi(noise, tau))
+        est, target, regime, _ = _mc_row(i, args.seed, args.paths)
         pull = (est.mean.real - target) / est.stderr_real
         ipull = est.mean.imag / est.stderr_imag
-        regime = classify(s.two_s * b * tau_c).value
         print(f"{regime:>13} {s_val:>4g} {b:>5g} {tau_c:>7g} {tau:>6g} "
               f"{est.mean.real:>10.6f} {target:>10.6f} {pull:>+6.2f} {ipull:>+9.2f}")
         worst = max(worst, abs(pull), abs(ipull))
