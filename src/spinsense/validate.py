@@ -153,6 +153,7 @@ def _oracle_draws(seed: int, n_tuples: int) -> tuple[np.ndarray, int]:
         x = tau / tau_c
         chi_val = b**2 * tau_c**2 * (x + np.expm1(-x))
         at = np.flatnonzero(two_s**2 * chi_val <= 3.0)[:need]
+        # rejections up to the last candidate kept; a round that keeps too few counts all
         rejected += (at[-1] + 1 if len(at) == need else n_tuples) - len(at)
         kept.append(np.column_stack([two_s, tau, chi_val])[at])
         need -= len(at)
