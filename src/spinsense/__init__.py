@@ -23,7 +23,6 @@ from .ou_noise import (
     dd_chi,
     dd_t2,
     mc_coherence,
-    sample_ou_paths,
     t2,
 )
 from .protocol import (
@@ -76,7 +75,6 @@ __all__ = [
     "optimize_initial_state_spin1",
     "outcome_probability",
     "qfi_generic",
-    "sample_ou_paths",
     "simulate_and_estimate",
     "spin1_qfi_values",
     "sweep",

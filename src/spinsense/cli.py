@@ -7,7 +7,8 @@ Subcommands
     validate        self-validation suites (exit 1 if any check fails)
 
 Exit codes: 0 success, 1 a validation suite failed, 2 usage error (bad
-flags or input), 3 numerical failure (a result over- or underflowed).
+flags or input) or an output that cannot be written, 3 numerical failure (a
+result over- or underflowed).
 
 All numeric output uses 17 significant digits and '.' decimals; re-running
 a command with identical flags reproduces byte-identical CSV.  Every
@@ -76,10 +77,16 @@ def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\r\n")
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(
     out_path: str, command: str, parameters: dict, seed: int | None,
     started: float, outputs: list[str], diagnostics: dict | None = None,
-) -> str:
+) -> None:
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -90,12 +97,7 @@ def _write_manifest(
         "outputs": [os.path.basename(p) for p in outputs],
         "diagnostics": diagnostics or {},
     }
-    base, _ = os.path.splitext(out_path)
-    path = base + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    _write_json(os.path.splitext(out_path)[0] + ".manifest.json", manifest)
 
 
 def _parsed(convert, text: str, expected: str, ok):
@@ -111,17 +113,22 @@ def _parsed(convert, text: str, expected: str, ok):
 
 
 def _half_integer(text: str) -> float:
+    # the value as typed, so that manifests record it; from_s decides what is a spin
     return _parsed(float, text, "spin must be a positive half-integer",
-                   lambda v: 0 < v < math.inf and abs(2 * v - round(2 * v)) <= 1e-9)
+                   lambda v: SpinQuantumNumber.from_s(v) is not None)
 
 
 def _positive(text: str) -> float:
     return _parsed(float, text, "expected a positive finite number", lambda v: 0 < v < math.inf)
 
 
-def _require_ordered(low: float, high: float, low_flag: str, high_flag: str) -> None:
+def _log_grid(low: float, high: float, points: int, low_flag: str, high_flag: str) -> np.ndarray:
+    """points log-spaced values from low to high, or low alone for one point."""
     if low > high:
         raise ValueError(f"{low_flag} ({low!r}) must not exceed {high_flag} ({high!r})")
+    if points == 1:
+        return np.array([low])
+    return np.logspace(math.log10(low), math.log10(high), points)
 
 
 def _positive_int(text: str) -> int:
@@ -134,13 +141,9 @@ def _nonnegative_int(text: str) -> int:
 
 def cmd_qfi_curve(args: argparse.Namespace) -> int:
     started = time.time()
-    _require_ordered(args.tau_min, args.tau_max, "--tau-min", "--tau-max")
+    taus = _log_grid(args.tau_min, args.tau_max, args.points, "--tau-min", "--tau-max")
     spins = [SpinQuantumNumber.from_s(v) for v in args.s]
     noise = OUNoise(args.b, args.tau_c)
-    if args.points == 1:
-        taus = np.array([args.tau_min])
-    else:
-        taus = np.logspace(math.log10(args.tau_min), math.log10(args.tau_max), args.points)
     columns = [ghz_qfi_values(sq, noise, taus) for sq in spins]
     header = ["tau"] + [f"qfi_{sq.s:g}" for sq in spins]
     rows = [[float(t)] + [float(col[i]) for col in columns] for i, t in enumerate(taus)]
@@ -162,12 +165,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     given = {"s": args.s[0] if args.s else None, "b": args.b, "tau_c": args.tau_c}
     if given[param] is not None:
         raise ValueError(f"--{args.param} is the swept parameter; set its range with --min/--max")
-    _require_ordered(args.min, args.max, "--min", "--max")
+    grid = _log_grid(args.min, args.max, args.points, "--min", "--max")
     fixed = {name: value for name, value in given.items() if name != param}
     for name, value in fixed.items():
         if value is None:
             raise ValueError(f"--{name.replace('_', '-')} is required when it is not swept")
-    grid = np.logspace(math.log10(args.min), math.log10(args.max), args.points)
     table = sweep(param, grid, **fixed)
     header = ["param", "rate", "tau_opt", "markov_param", "regime", "status"]
     status = table.status
@@ -191,11 +193,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "fit_window_quasi_static_above": config.DEEP_QUASI_STATIC_ABOVE,
         },
     }
-    base, _ = os.path.splitext(out)
-    summary_path = base + ".summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    summary_path = os.path.splitext(out)[0] + ".summary.json"
+    _write_json(summary_path, summary)
     params = dict(fixed, param=param, min=args.min, max=args.max, points=args.points)
     diagnostics = {
         "points": args.points,
@@ -209,11 +208,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize_state(args: argparse.Namespace) -> int:
     started = time.time()
-    _require_ordered(args.tau_c_min, args.tau_c_max, "--tau-c-min", "--tau-c-max")
-    if args.points == 1:
-        tau_cs = np.array([args.tau_c_min])
-    else:
-        tau_cs = np.logspace(math.log10(args.tau_c_min), math.log10(args.tau_c_max), args.points)
+    tau_cs = _log_grid(args.tau_c_min, args.tau_c_max, args.points, "--tau-c-min", "--tau-c-max")
     header = ["tau_c", "r_ghz", "r_opt", "theta_opt", "phi_opt", "fidelity"]
     rows, solves = [], []
     for tc in tau_cs:
@@ -248,9 +243,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "checks": [asdict(c) for c in checks],
     }
     out = _resolve_out(args.out, f"validate_{args.suite}.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, report)
     _write_manifest(out, "validate", {"suite": args.suite}, args.seed, started, [out], diagnostics)
     for c in checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: "
@@ -332,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"{parser.prog}: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -21,8 +21,9 @@ SLD_EIGENVALUE_CUTOFF = 1e-12
 
 # Random draws in fixed-size blocks, each block seeded as (seed, block_index),
 # so draw i never depends on how many were requested or how blocks are
-# scheduled: Monte Carlo paths (mc_coherence, sample_ou_paths) and the
-# estimator's binomial counts (simulate_and_estimate) share the block size.
+# scheduled: Monte Carlo paths (mc_coherence, and the tests' path sampler that
+# checks it) and the estimator's binomial counts (simulate_and_estimate) share
+# the block size.
 # mc_coherence draws its blocks on one thread per usable CPU (at most one per
 # block) and gives the same result for any number of CPUs.
 MC_BLOCK_SIZE = 4096

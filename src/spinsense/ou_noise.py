@@ -1,5 +1,5 @@
 """Ornstein-Uhlenbeck dephasing noise: coherence integral, decoherence time,
-regime classification, an exact stochastic sampler, and pulsed-control variants.
+regime classification, a Monte Carlo coherence estimate, and pulsed-control variants.
 
 The noise is a stationary Gaussian process with autocorrelation
 b^2 exp(-|t-t'|/tau_c).  Its effect on a spin coherence is governed by the
@@ -152,13 +152,15 @@ def _dd_law(noise: OUNoise, profile: DDProfile) -> _Law:
 
 def _law_chi(law: _Law, tau) -> float | np.ndarray:
     """chi of a scalar law at a time or an array of times, as exp(log chi);
-    exactly 0 at tau = 0, where log chi is -inf."""
+    exactly 0 at tau = 0, where log chi is -inf, and inf above the float range."""
     t = np.asarray(tau, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ValueError("tau must be nonnegative and finite")
     out = np.zeros(t.shape)
     positive = t > 0
-    out[positive] = np.exp(law.log_chi(np.log(t[positive]))[0])
+    log_chi = law.log_chi(np.log(t[positive]))[0]
+    with np.errstate(over="ignore"):
+        out[positive] = np.exp(log_chi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -294,35 +296,6 @@ def _ou_step(noise: OUNoise, dt: float) -> tuple[float, float]:
     return math.exp(-dt / noise.tau_c), noise.b * math.sqrt(-math.expm1(-2.0 * dt / noise.tau_c))
 
 
-def sample_ou_paths(noise: OUNoise, dt: float, steps: int, n_paths: int, seed: int) -> np.ndarray:
-    """Stationary exact-discretization paths, shape (n_paths, steps + 1).
-
-    x_0 ~ Normal(0, b^2) and
-    x_{k+1} = x_k e^{-dt/tau_c} + b sqrt(1 - e^{-2 dt/tau_c}) xi_k,
-    so every marginal is exactly stationary at any dt.  Paths are generated
-    in fixed blocks of ``config.MC_BLOCK_SIZE``, block j seeded as
-    (seed, j), path i taking its steps + 1 normals from row i mod block of
-    that block's stream; path i is therefore independent of n_paths and of
-    how blocks are distributed over workers.  steps and n_paths must be
-    integers >= 1 and seed an integer >= 0 (a bool or a float is refused).
-    """
-    alpha, sigma_step = _ou_step(noise, dt)
-    _check_count("steps", steps)
-    _check_count("n_paths", n_paths)
-    _check_count("seed", seed, 0)
-    from scipy.signal import lfilter  # here, so that importing spinsense loads no scipy
-
-    block = config.MC_BLOCK_SIZE
-    out = np.empty((n_paths, steps + 1))
-    for j in range((n_paths + block - 1) // block):
-        rows = slice(j * block, min((j + 1) * block, n_paths))
-        w = np.random.default_rng([seed, j]).standard_normal((rows.stop - rows.start, steps + 1))
-        w[:, 0] *= noise.b
-        w[:, 1:] *= sigma_step
-        out[rows] = lfilter([1.0], [1.0, -alpha], w, axis=1)
-    return out
-
-
 def _phase_weights(noise: OUNoise, dt: float, steps: int) -> np.ndarray:
     """Weights c with trapezoid phase = xi @ c for the raw normals xi of one path.
 
@@ -413,14 +386,17 @@ def mc_coherence(
     is exp(-(2S)^2 chi(tau)), with zero imaginary part.  The requested dt is
     shrunk so that an integer number of steps lands exactly on tau.
 
-    The phase is linear in the path's steps + 1 raw normals xi, so it is
-    one dot product xi @ c with folded weights c_0 = b G_0 and
+    The trajectories are exact OU transitions, stationary at any dt:
+    x_0 = b xi_0 and x_{k+1} = alpha x_k + sigma_step xi_{k+1}, with
+    alpha = e^{-dt/tau_c} and sigma_step = b sqrt(1 - alpha^2).  The phase
+    is linear in the path's steps + 1 raw normals xi, so it is one dot
+    product xi @ c with folded weights c_0 = b G_0 and
     c_k = sigma_step G_k (k >= 1), where G_k = w_k + alpha G_{k+1} runs
-    backward over the trapezoid weights w, alpha = e^{-dt/tau_c}.  This is
-    the trapezoid sum over the paths of ``sample_ou_paths`` at the same seed,
-    up to rounding, without forming them.  The weights come from the
+    backward over the trapezoid weights w.  This is the trapezoid sum over
+    those paths, up to rounding, without forming them; the tests check it
+    against a path sampler of their own.  The weights come from the
     discretization alone and ``chi`` is not used, so the estimate stays an
-    independent check of the closed form.  Seeding is unchanged: block j of
+    independent check of the closed form.  Seeding: block j of
     ``config.MC_BLOCK_SIZE`` paths draws one normal per path per step from
     (seed, j), and only the requested paths' rows are drawn.
 
@@ -487,7 +463,8 @@ def dd_chi(noise: OUNoise, profile: DDProfile, tau) -> float | np.ndarray:
 
 
 def __getattr__(name: str):
-    """Import and bind ``lfilter`` on first lookup, for the benchmark tracer."""
+    """Import and bind scipy's ``lfilter`` on first lookup, for the benchmark tracer:
+    only that lookup, made with the ``test`` extra installed, imports scipy."""
     # ROADMAP item 1 deletes this hook once the tracer reads the program's own counters
     if name == "lfilter":
         from scipy.signal import lfilter

@@ -487,7 +487,8 @@ def dd_scaling(profile: DDProfile, s_grid: Sequence[float], noise: OUNoise) -> S
 
 
 def __getattr__(name: str):
-    """Import and bind ``minimize`` on first lookup, for the benchmark tracer."""
+    """Import and bind scipy's ``minimize`` on first lookup, for the benchmark tracer:
+    only that lookup, made with the ``test`` extra installed, imports scipy."""
     # ROADMAP item 1 deletes this hook once the tracer reads the program's own counters
     if name == "minimize":
         from scipy.optimize import minimize

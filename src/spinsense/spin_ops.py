@@ -57,8 +57,8 @@ class SpinQuantumNumber:
 
     @classmethod
     def from_s(cls, s: float) -> "SpinQuantumNumber":
-        if not math.isfinite(s):
-            raise ValueError(f"spin must be finite, got {s!r}")
+        if not math.isfinite(2 * s):  # 2S of a finite s may still overflow
+            raise ValueError(f"spin must be finite, with 2S finite, got {s!r}")
         two_s = round(2 * s)
         if abs(2 * s - two_s) > 1e-9:
             raise ValueError(f"spin must be a half-integer, got {s!r}")
@@ -71,10 +71,6 @@ class SpinQuantumNumber:
     @property
     def dimension(self) -> int:
         return self.two_s + 1
-
-    def m_values(self) -> np.ndarray:
-        """Magnetic quantum numbers S, S-1, ..., -S."""
-        return (self.two_s - 2.0 * np.arange(self.dimension)) / 2.0
 
 
 def ghz_like_state(s: SpinQuantumNumber) -> np.ndarray:

@@ -124,12 +124,19 @@ class TestQfiCurve:
          "argument --min: expected a positive finite number, got 'abc'"),
         (["qfi-curve", "--s", "x", "--b", "1", "--tau-c", "1"],
          "argument --s: spin must be a positive half-integer, got 'x'"),
+        # finite, but 2S overflows to inf
+        (["qfi-curve", "--s", "1e308", "--b", "1", "--tau-c", "1"],
+         "argument --s: spin must be a positive half-integer, got '1e308'"),
+        (["sweep", "--param", "b", "--min", "1", "--max", "2", "--s", "1e308", "--tau-c", "1"],
+         "argument --s: spin must be a positive half-integer, got '1e308'"),
     ])
     def test_unparsable_value_names_expected_value(self, tmp_path, capsys, argv, message):
         out = tmp_path / "never.out"
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert message in err and "invalid _" not in err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"spinsense {argv[0]}: error: {message}"]
         assert not os.listdir(tmp_path)
 
     def test_unknown_command_exit_2(self, capsys):
@@ -415,6 +422,14 @@ class TestValidateCommand:
         diag = json.load(open(tmp_path / "estimator.manifest.json"))["diagnostics"]
         # 4000 repetitions fit one block of config.MC_BLOCK_SIZE, so one generator
         assert diag == {"repetitions": 4000, "rng_blocks": 1, "flagged": 0}
+
+    @pytest.mark.parametrize("out", ["", "file.txt/r.json"])  # a directory; a path below a file
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, out):
+        (tmp_path / "file.txt").write_text("")
+        assert run(["validate", "--suite", "dd", "--out", str(tmp_path / out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("spinsense: cannot write output: ")
+        assert os.listdir(tmp_path) == ["file.txt"]
 
     def test_unknown_suite_exit_2(self, capsys):
         assert run(["validate", "--suite", "bogus"]) == 2

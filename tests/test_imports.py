@@ -1,8 +1,10 @@
 """Import hygiene: the CLI and the library's compute paths load numpy only.
 
-scipy stays a dependency for ``sample_ou_paths`` and for the tests, and is
-imported on demand; nothing that a CLI command or the Monte Carlo oracle runs
-may pull it in, since its import costs more than most commands compute.
+numpy is the library's one runtime dependency.  scipy is in the ``test``
+extra: the tests' reference path sampler uses it, and the two names that the
+benchmark's tracer looks up (``ou_noise.lfilter``, ``protocol.minimize``)
+import it on that lookup.  Nothing that a CLI command or the Monte Carlo
+oracle runs may pull it in.
 """
 
 import importlib.util

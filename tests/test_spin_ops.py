@@ -42,8 +42,11 @@ class TestSpinQuantumNumber:
         with pytest.raises(ValueError):
             SpinQuantumNumber(0)
 
-    def test_m_values(self):
-        np.testing.assert_allclose(SpinQuantumNumber(3).m_values(), [1.5, 0.5, -0.5, -1.5])
+    @pytest.mark.parametrize("s", [1e308, -1e308, math.inf, math.nan])
+    def test_from_s_rejects_spin_whose_2s_is_not_finite(self, s):
+        # 2 * 1e308 overflows to inf, which round() cannot turn into an integer
+        with pytest.raises(ValueError, match="spin must be finite"):
+            SpinQuantumNumber.from_s(s)
 
 
 class TestOperators:
