@@ -69,7 +69,7 @@ def _resolve_out(out: str | None, default_name: str) -> str:
     return out
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     # RFC 4180: comma-separated, CRLF line endings, UTF-8
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -146,9 +146,8 @@ def cmd_qfi_curve(args: argparse.Namespace) -> int:
     noise = OUNoise(args.b, args.tau_c)
     columns = [ghz_qfi_values(sq, noise, taus) for sq in spins]
     header = ["tau"] + [f"qfi_{sq.s:g}" for sq in spins]
-    rows = [[float(t)] + [float(col[i]) for col in columns] for i, t in enumerate(taus)]
     out = _resolve_out(args.out, "qfi_curve.csv")
-    _write_csv(out, header, rows)
+    _write_csv(out, header, zip(taus, *columns))
     params = {
         "s": [sq.s for sq in spins], "b": args.b, "tau_c": args.tau_c,
         "tau_min": args.tau_min, "tau_max": args.tau_max, "points": args.points,
@@ -173,15 +172,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = sweep(param, grid, **fixed)
     header = ["param", "rate", "tau_opt", "markov_param", "regime", "status"]
     status = table.status
-    rows = [
-        [
-            float(table.values[i]), float(table.rates[i]), float(table.tau_opts[i]),
-            float(table.markov_params[i]), table.regimes[i].value, status[i],
-        ]
-        for i in range(len(table))
-    ]
     out = _resolve_out(args.out, f"sweep_{param}.csv")
-    _write_csv(out, header, rows)
+    _write_csv(out, header, zip(table.values, table.rates, table.tau_opts, table.markov_params,
+                                (regime.value for regime in table.regimes), status))
     summary = {
         "param": param,
         "fixed": fixed,

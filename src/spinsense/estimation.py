@@ -12,12 +12,13 @@ fraction and is benchmarked against the error bound 1/sqrt(nu F).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .ou_noise import OUNoise, _check_count, chi
+from .ou_noise import OUNoise, _check_count, _free_law, _law_chi, chi
 from .spin_ops import SpinQuantumNumber
 
 # local-estimation window: the prior phase must sit on the monotone branch
@@ -47,8 +48,11 @@ class EstimationRun:
 
 
 def _visibility(s: SpinQuantumNumber, noise: OUNoise, tau: float) -> float:
-    """Fringe visibility V = exp(-(2S)^2 chi(tau)) of the binary measurement."""
-    return math.exp(-s.two_s**2 * chi(noise, tau))
+    """Fringe visibility V = exp(-(2S)^2 chi(tau)) of the binary measurement;
+    where (2S)^2 overflows, (2S)^2 chi is exp(2 log 2S + log chi)."""
+    if s.two_s**2 <= sys.float_info.max:
+        return math.exp(-s.two_s**2 * chi(noise, tau))
+    return math.exp(-_law_chi(_free_law(noise.b, noise.tau_c), tau, 2.0 * math.log(s.two_s)))
 
 
 def outcome_probability(
@@ -69,6 +73,8 @@ def classical_fisher(s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: fl
     theta = pi/2.
     """
     v = _visibility(s, noise, tau)
+    if v == 0.0:  # the outcome no longer depends on omega; (2S tau)^2 may overflow
+        return 0.0
     theta = s.two_s * omega * tau
     vc = v * math.cos(theta)
     denom = 1.0 - vc * vc

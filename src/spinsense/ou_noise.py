@@ -150,9 +150,10 @@ def _dd_law(noise: OUNoise, profile: DDProfile) -> _Law:
     return _Law(log_chi, log_b, log_tau_c, n, profile.shape_c)
 
 
-def _law_chi(law: _Law, tau) -> float | np.ndarray:
-    """chi of a scalar law at a time or an array of times, as exp(log chi);
-    exactly 0 at tau = 0, where log chi is -inf, and inf above the float range."""
+def _law_chi(law: _Law, tau, log_scale: float = 0.0) -> float | np.ndarray:
+    """chi of a scalar law at a time or an array of times, as exp(log chi), times
+    exp(log_scale) taken inside the exponential; exactly 0 at tau = 0, where log
+    chi is -inf, and inf above the float range."""
     t = np.asarray(tau, dtype=float)
     if not np.all((t >= 0) & (t < np.inf)):
         raise ValueError("tau must be nonnegative and finite")
@@ -160,7 +161,7 @@ def _law_chi(law: _Law, tau) -> float | np.ndarray:
     positive = t > 0
     log_chi = law.log_chi(np.log(t[positive]))[0]
     with np.errstate(over="ignore"):
-        out[positive] = np.exp(log_chi)
+        out[positive] = np.exp(log_chi + log_scale)
     return float(out) if out.ndim == 0 else out
 
 

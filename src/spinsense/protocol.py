@@ -58,10 +58,6 @@ class YieldResult:
     rate: float
     tau_opt: float
 
-    def __post_init__(self):
-        if self.rate < 0 or self.tau_opt <= 0:
-            raise ValueError("yield rate must be >= 0 and tau_opt > 0")
-
 
 @dataclass(frozen=True)
 class ExponentFit:
@@ -78,7 +74,6 @@ class ExponentFit:
 class SweepTable:
     """One optimized protocol per grid value, plus per-window exponent fits."""
 
-    param_name: str
     values: np.ndarray
     rates: np.ndarray
     tau_opts: np.ndarray
@@ -91,8 +86,8 @@ class SweepTable:
 
     @property
     def status(self) -> tuple[str, ...]:
-        """Per row: "failed" where no finite positive rate was found (its rate
-        and tau_opt are NaN), else "ok"."""
+        """Per row: "failed" where ``_ghz_optima`` found no usable optimum (its
+        rate and tau_opt are NaN), else "ok"."""
         return tuple("ok" if np.isfinite(rate) else "failed" for rate in self.rates)
 
 
@@ -122,26 +117,34 @@ def _ghz_optima(law: _Law, two_s) -> tuple[np.ndarray, np.ndarray]:
     d log(F/tau)/d log tau = 1 - 2 (2S)^2 chi slope, so tau_opt is the root
     of log(2 (2S)^2) + log chi + log slope, which increases in log tau; the
     rate is evaluated there as (2S)^2 tau exp(-2 (2S)^2 chi), with the
-    exponent taken from log chi.  Rows whose root or rate is outside the
-    float range come out NaN or inf.
+    exponent taken from log chi, and as 2S (2S tau) exp(...) where (2S)^2
+    overflows.  This is the one rule for a usable optimum: a row whose rate
+    or tau_opt is not finite, or below the smallest normal double (whose 17
+    digits would not be the answer's), is NaN in both.
     """
     two_s = np.asarray(two_s, dtype=float)
     log_a = math.log(2.0) + 2.0 * np.log(two_s)
     u = _law_roots(law, log_a, with_slope=True)
     with np.errstate(all="ignore"):
-        tau = np.exp(u)
-        return tau, two_s**2 * tau * np.exp(-np.exp(log_a + law.log_chi(u)[0]))
+        tau, square = np.exp(u), two_s**2
+        rate = (np.where(np.isinf(square), two_s * (two_s * tau), square * tau)
+                * np.exp(-np.exp(log_a + law.log_chi(u)[0])))
+    tiny = np.finfo(float).tiny
+    usable = (rate >= tiny) & (rate < math.inf) & (tau >= tiny) & (tau < math.inf)
+    return np.where(usable, tau, np.nan), np.where(usable, rate, np.nan)
 
 
 def yield_rate(s: SpinQuantumNumber, noise: OUNoise) -> YieldResult:
     """Maximize the GHZ curve's F(tau)/tau over tau by one root solve in log tau.
 
-    The one-row case of the solve that ``sweep`` runs on all rows; a rate
-    that is not finite raises FloatingPointError.
+    The one-row case of the solve that ``sweep`` runs on all rows: where
+    ``_ghz_optima`` finds no usable optimum (a row ``sweep`` marks failed),
+    it raises FloatingPointError.
     """
     tau_opt, rate = _ghz_optima(_free_law(noise.b, noise.tau_c), [s.two_s])
-    if not (np.isfinite(rate[0]) and np.isfinite(tau_opt[0])):
-        raise FloatingPointError(f"yield rate at 2S={s.two_s}, {noise!r} is not finite")
+    if np.isnan(rate[0]):
+        raise FloatingPointError(
+            f"yield rate or tau_opt at 2S={s.two_s}, {noise!r} is not a normal double")
     return YieldResult(float(rate[0]), float(tau_opt[0]))
 
 
@@ -183,13 +186,14 @@ def fit_loglog_exponent(table: SweepTable, window: tuple[int, int]) -> ExponentF
     return ExponentFit(slope, intercept, resid, (lo, hi), hi - lo)
 
 
-def _deep_windows(markov_params: np.ndarray, usable: np.ndarray) -> dict[str, tuple[int, int]]:
-    """Row ranges deep inside each limiting regime, over usable rows only.
+def _deep_windows(markov_params: np.ndarray, rates: np.ndarray) -> dict[str, tuple[int, int]]:
+    """Row ranges deep inside each limiting regime, over rows with a rate only.
 
     The memory parameter is monotone in any single swept variable, so the
     qualifying rows form a prefix or a suffix of the table; rows that failed
-    (at the far ends, where chi over- or underflows) are left out, and the
-    longest contiguous run of what remains is the window.
+    (NaN rate, at the far ends, where the optimum leaves the range of normal
+    doubles) are left out, and the longest contiguous run of what remains is
+    the window.
     """
     windows: dict[str, tuple[int, int]] = {}
     deep = {
@@ -197,50 +201,51 @@ def _deep_windows(markov_params: np.ndarray, usable: np.ndarray) -> dict[str, tu
         "quasi_static": markov_params >= config.DEEP_QUASI_STATIC_ABOVE,
     }
     for label, rows in deep.items():
-        idx = np.flatnonzero(rows & usable)
+        idx = np.flatnonzero(rows & ~np.isnan(rates))
         run = max(np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1), key=len)
         if len(run) >= 4:
             windows[label] = (int(run[0]), int(run[-1]) + 1)
     return windows
 
 
-def _validated_grid(grid) -> np.ndarray:
+def _sweep_rows(parameter: str, grid, s, b, tau_c):
+    """The rows of a sweep, one array each: the swept values, 2S, b, tau_c and
+    2S b tau_c.  Spin grid values are rounded to the nearest half-integer and
+    deduplicated."""
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or len(g) < 8:
         raise ValueError("grid must be one-dimensional with >= 8 points")
     if not np.all(np.isfinite(g)) or np.any(g <= 0) or np.any(np.diff(g) <= 0):
         raise ValueError("grid must be finite, positive and strictly increasing")
-    return g
+    fixed = {"s": s, "b": b, "tau_c": tau_c}
+    if parameter not in fixed:
+        raise ValueError(f"parameter must be 's', 'b' or 'tau_c', got {parameter!r}")
+    required = [name for name in fixed if name != parameter]
+    if any(fixed[name] is None for name in required):
+        raise ValueError(f"{parameter}-sweep requires fixed {' and '.join(required)}")
+    if parameter == "s":
+        two_s = np.array(sorted({max(1, round(2 * v)) for v in g}), dtype=float)
+        values = two_s / 2.0
+    else:
+        values, two_s = g, np.full(len(g), float(SpinQuantumNumber.from_s(s).two_s))
+    b_rows, tc_rows = (values if name == parameter else np.full(len(values), fixed[name], float)
+                       for name in ("b", "tau_c"))
+    for name, col in (("b", b_rows), ("tau_c", tc_rows)):
+        if not np.all((col > 0) & (col < math.inf)):
+            raise ValueError(f"{name} must be positive and finite")
+    with np.errstate(over="ignore"):
+        return values, two_s, b_rows, tc_rows, two_s * b_rows * tc_rows
 
 
-def _spin_rows(grid: np.ndarray) -> np.ndarray:
-    """2S for each distinct half-integer nearest to a grid value, ascending."""
-    return np.array(sorted({max(1, round(2 * v)) for v in grid}), dtype=float)
-
-
-def _solve_table(
-    param_name: str, values: np.ndarray, markov_params: np.ndarray, two_s: np.ndarray, law: _Law,
-) -> SweepTable:
+def _solve_table(values, markov_params, two_s, law: _Law) -> SweepTable:
     """Optimize every row of a sweep in one batched solve and fit its exponents.
 
-    A row without a finite positive rate (its optimum or its rate is outside
-    the float range) gets NaN rate and tau_opt and is left out of the fits.
+    A row that ``_ghz_optima`` leaves NaN is failed and left out of the fits.
     """
     tau_opt, rate = _ghz_optima(law, two_s)
-    ok = np.isfinite(rate) & np.isfinite(tau_opt) & (rate > 0)
-    table = SweepTable(
-        param_name=param_name,
-        values=values,
-        rates=np.where(ok, rate, np.nan),
-        tau_opts=np.where(ok, tau_opt, np.nan),
-        markov_params=markov_params,
-        regimes=tuple(classify(p) for p in markov_params),
-    )
-    fits = {
-        label: fit_loglog_exponent(table, window)
-        for label, window in _deep_windows(markov_params, ok).items()
-    }
-    return replace(table, fits=fits)
+    table = SweepTable(values, rate, tau_opt, markov_params, tuple(map(classify, markov_params)))
+    windows = _deep_windows(markov_params, rate).items()
+    return replace(table, fits={label: fit_loglog_exponent(table, w) for label, w in windows})
 
 
 def sweep(
@@ -256,34 +261,12 @@ def sweep(
     ``parameter`` is one of "s", "b", "tau_c"; the other two must be given
     as fixed values.  Spin grid values are rounded to the nearest
     half-integer and deduplicated.  All rows are solved together; row i
-    equals ``yield_rate`` at the same inputs.  Exponent fits are attached
-    for every deep-regime window containing at least four usable rows.
+    equals ``yield_rate`` at the same inputs, and is failed (NaN) exactly
+    where ``yield_rate`` raises.  Exponent fits are attached for every
+    deep-regime window containing at least four usable rows.
     """
-    g = _validated_grid(grid)
-    if parameter == "s":
-        if b is None or tau_c is None:
-            raise ValueError("s-sweep requires fixed b and tau_c")
-        two_s = _spin_rows(g)
-        n = len(two_s)
-        values, b_rows, tc_rows = two_s / 2.0, np.full(n, b, float), np.full(n, tau_c, float)
-    elif parameter == "b":
-        if s is None or tau_c is None:
-            raise ValueError("b-sweep requires fixed s and tau_c")
-        two_s = np.full(len(g), float(SpinQuantumNumber.from_s(s).two_s))
-        values, b_rows, tc_rows = g, g, np.full(len(g), tau_c, float)
-    elif parameter == "tau_c":
-        if s is None or b is None:
-            raise ValueError("tau_c-sweep requires fixed s and b")
-        two_s = np.full(len(g), float(SpinQuantumNumber.from_s(s).two_s))
-        values, b_rows, tc_rows = g, np.full(len(g), b, float), g
-    else:
-        raise ValueError(f"parameter must be 's', 'b' or 'tau_c', got {parameter!r}")
-    for name, col in (("b", b_rows), ("tau_c", tc_rows)):
-        if not np.all((col > 0) & (col < math.inf)):
-            raise ValueError(f"{name} must be positive and finite")
-    with np.errstate(over="ignore"):
-        markov_params = two_s * b_rows * tc_rows
-    return _solve_table(parameter, values, markov_params, two_s, _free_law(b_rows, tc_rows))
+    values, two_s, b_rows, tc_rows, markov_params = _sweep_rows(parameter, grid, s, b, tau_c)
+    return _solve_table(values, markov_params, two_s, _free_law(b_rows, tc_rows))
 
 
 def _grid_max_2d(objective, x, y, half_width: float, bounds: tuple[float, float], xatol: float):
@@ -481,9 +464,8 @@ def dd_scaling(profile: DDProfile, s_grid: Sequence[float], noise: OUNoise) -> S
         raise ValueError(
             f"dd_scaling needs n <= 3 + 2 sqrt(2) = {_DD_MAX_N:.6f} for a unique optimum, "
             f"got {profile.n!r}")
-    two_s = _spin_rows(_validated_grid(s_grid))
-    return _solve_table("s", two_s / 2.0, two_s * noise.b * noise.tau_c, two_s,
-                        _dd_law(noise, profile))
+    values, two_s, _, _, markov_params = _sweep_rows("s", s_grid, None, noise.b, noise.tau_c)
+    return _solve_table(values, markov_params, two_s, _dd_law(noise, profile))
 
 
 def __getattr__(name: str):

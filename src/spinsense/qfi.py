@@ -16,10 +16,13 @@ generic route is authoritative.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from . import config
-from .ou_noise import OUNoise, chi
+from .ou_noise import OUNoise, _free_law, _law_chi, chi
 from .spin_ops import SpinQuantumNumber, _check_density, _delta_m, dephase
 
 _DRHO_HERMITICITY_TOL = 1e-10
@@ -31,9 +34,16 @@ def _ghz_values(two_s, chi_values, t):
 
 
 def ghz_qfi_values(s: SpinQuantumNumber, noise: OUNoise, tau) -> float | np.ndarray:
-    """Vectorized noisy GHZ-protocol QFI, (2S tau)^2 exp(-2 (2S)^2 chi(tau))."""
+    """Vectorized noisy GHZ-protocol QFI, (2S tau)^2 exp(-2 (2S)^2 chi(tau)).  Where
+    (2S)^2 overflows, it is taken in logs, with (2S)^2 chi as exp(2 log 2S + log chi)."""
     t = np.asarray(tau, dtype=float)
-    out = _ghz_values(s.two_s, chi(noise, t), t)
+    if s.two_s**2 <= sys.float_info.max:
+        out = _ghz_values(s.two_s, chi(noise, t), t)
+    else:
+        log_k = math.log(s.two_s)
+        decay = _law_chi(_free_law(noise.b, noise.tau_c), t, 2.0 * log_k)
+        with np.errstate(divide="ignore"):  # log 0 at tau = 0, where the QFI is 0
+            out = np.exp(2.0 * (log_k + np.log(t)) - 2.0 * decay)
     return float(out) if out.ndim == 0 else out
 
 

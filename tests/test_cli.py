@@ -62,6 +62,19 @@ class TestQfiCurve:
         assert data[1, 0] == pytest.approx(1e-100, rel=1e-15)
         assert data[1, 1] == pytest.approx(4e-200 * math.exp(-8.0), rel=1e-12)
 
+    def test_spin_whose_square_overflows(self, tmp_path):
+        # (2S)^2 = 4e600: the QFI is 0 at every tau; the S = 1 column is as alone
+        out, alone = str(tmp_path / "huge.csv"), str(tmp_path / "alone.csv")
+        flags = ["--b", "1", "--tau-c", "1", "--points", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["qfi-curve", "--s", "1e300", "--s", "1", *flags, "--out", out]) == 0
+        assert run(["qfi-curve", "--s", "1", *flags, "--out", alone]) == 0
+        header, rows = read_csv(out)
+        assert header == ["tau", "qfi_1e+300", "qfi_1"]
+        assert [r[1] for r in rows] == ["0", "0", "0"]
+        assert [[r[0], r[2]] for r in rows] == read_csv(alone)[1]
+
     def test_single_point(self, tmp_path):
         out = str(tmp_path / "one.csv")
         assert run(["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1",
@@ -217,6 +230,28 @@ class TestSweepCommand:
         diagnostics = json.load(open(tmp_path / "wide_b.manifest.json"))["diagnostics"]
         assert diagnostics["failed"] == len(failed)
         assert diagnostics["rows"] == 16 and diagnostics["deduplicated"] == 0
+
+    def test_spin_rows_where_two_s_squared_overflows(self, tmp_path):
+        # R = sqrt(2/e) S/b and tau_opt = 1/(sqrt(2) 2S b) are normal doubles
+        out = str(tmp_path / "huge_s.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["sweep", "--param", "s", "--min", "1e150", "--max", "1e300",
+                        "--points", "8", "--b", "1", "--tau-c", "1", "--out", out]) == 0
+        rows = read_csv(out)[1]
+        assert [r[5] for r in rows] == ["ok"] * 8
+        for row in rows:
+            s = float(row[0])
+            assert float(row[1]) == pytest.approx(math.sqrt(2 / math.e) * s, rel=1e-13)
+            assert float(row[2]) == pytest.approx(1 / (math.sqrt(2) * 2 * s), rel=1e-12)
+
+    def test_subnormal_optimum_is_a_failed_row(self, tmp_path):
+        # row 0, 2S = 2e15 at b = 1e308: tau_opt = 1/(sqrt(2) 2S b) is subnormal
+        out = str(tmp_path / "subnormal.csv")
+        assert run(["sweep", "--param", "s", "--min", "1e15", "--max", "1e20", "--points", "8",
+                    "--b", "1e308", "--tau-c", "1", "--out", out]) == 0
+        row = read_csv(out)[1][0]
+        assert (row[1], row[2], row[5]) == ("nan", "nan", "failed")
 
     @pytest.mark.parametrize(
         "flags,named",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,25 @@ class TestOutcomeProbability:
         assert p_plus + p_minus == 1.0
         assert 0.0 <= p_plus <= 1.0
         assert 0.0 <= p_minus <= 1.0
+
+
+class TestSpinWhoseSquareOverflows:
+    # (2S)^2 = 4e600: V = 0 unless chi < ~1e-598, and the outcome is a fair coin
+    S, NOISE = SpinQuantumNumber.from_s(1e300), OUNoise(1.0, 1.0)
+
+    def test_outcome_probability(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome_probability(self.S, self.NOISE, 1.0, 1.0) == (0.5, 0.5)
+            assert outcome_probability(self.S, self.NOISE, 0.0, 1.0) == (1.0, 0.0)
+            # chi = tau^2/2 underflows at tau = 1e-300, but V = exp(-(2S)^2 chi) = e^-2
+            p_plus, _ = outcome_probability(self.S, self.NOISE, 1e-300, 0.0)
+            assert p_plus == pytest.approx(0.5 * (1 + math.exp(-2)), rel=1e-12)
+
+    def test_classical_fisher(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classical_fisher(self.S, self.NOISE, 1.0, 1.0) == 0.0
 
 
 class TestClassicalFisher:

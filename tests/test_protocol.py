@@ -221,6 +221,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("nope", np.logspace(0, 1, 8), b=1.0, tau_c=1.0)
 
+    @pytest.mark.parametrize("param,fixed,message", [
+        ("s", dict(b=1.0), "s-sweep requires fixed b and tau_c"),
+        ("b", dict(tau_c=1.0), "b-sweep requires fixed s and tau_c"),
+        ("tau_c", dict(b=1.0), "tau_c-sweep requires fixed s and b"),
+    ])
+    def test_missing_fixed_value_messages(self, param, fixed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(param, np.logspace(0, 1, 8), **fixed)
+
 
 def _chi_closed_form(b, tau_c, tau):
     # b^2 tau_c^2 (x + expm1(-x)), x = tau/tau_c, by its series where that cancels
@@ -264,6 +273,10 @@ class TestSweepAgainstDenseGrid:
         "s": (np.logspace(np.log10(0.5), 6, 16), dict(b=1.0, tau_c=1e-3)),
         "b": (np.logspace(-3, 3, 16), dict(s=0.5, tau_c=1.0)),
         "tau_c": (np.logspace(-3, 3, 16), dict(s=0.5, b=1.0)),
+        # tau_opt = 1/(sqrt(2) 2S b) is below the smallest normal double in
+        # every row at b = 1e308, and in all but the first at b = 1e305
+        "s, b=1e308": (np.logspace(np.log10(0.5), 20, 8), dict(b=1e308, tau_c=1.0)),
+        "s, b=1e305": (np.logspace(np.log10(0.5), 20, 8), dict(b=1e305, tau_c=1.0)),
     }
 
     @staticmethod
@@ -281,14 +294,23 @@ class TestSweepAgainstDenseGrid:
         two_s, b, tau_c = self._rows(param, table, fixed)
         np.testing.assert_allclose(table.rates, _dense_grid_rate(two_s, b, tau_c), rtol=1e-9)
 
-    @pytest.mark.parametrize("param", ["s", "b", "tau_c"])
-    def test_rows_equal_yield_rate_exactly(self, param):
-        grid, fixed = self.CASES[param]
+    @pytest.mark.parametrize("case", ["s", "b", "tau_c", "s, b=1e308", "s, b=1e305"])
+    def test_rows_equal_yield_rate_exactly(self, case):
+        # a failed row is one where yield_rate raises
+        grid, fixed = self.CASES[case]
+        param = case.split(",")[0]
         table = sweep(param, grid, **fixed)
         for two_s, b, tau_c, rate, tau_opt in zip(*self._rows(param, table, fixed),
                                                   table.rates, table.tau_opts):
-            single = yield_rate(SpinQuantumNumber(int(two_s)), OUNoise(b, tau_c))
+            spin, noise = SpinQuantumNumber(int(two_s)), OUNoise(b, tau_c)
+            if np.isnan(rate):
+                with pytest.raises(FloatingPointError):
+                    yield_rate(spin, noise)
+                continue
+            single = yield_rate(spin, noise)
             assert (single.rate, single.tau_opt) == (rate, tau_opt)
+        if case == "s, b=1e305":
+            assert table.status == ("ok",) + ("failed",) * (len(table) - 1)
 
     @pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0, 5.8])
     @pytest.mark.parametrize("tau_c", [1e-4, 1.0, 100.0])
@@ -310,6 +332,18 @@ class TestSweepAgainstDenseGrid:
         assert failed == [0] and np.all(np.isnan(table.rates[failed]))
         for fit in table.fits.values():
             assert not set(range(*fit.window)) & set(failed)
+
+    def test_underflowed_rate_raises_floating_point_error(self):
+        with pytest.raises(FloatingPointError):
+            yield_rate(SpinQuantumNumber(10**17), OUNoise(1e308, 1.0))
+
+    def test_spin_rows_where_the_markov_parameter_overflows(self):
+        # 2S b tau_c overflows: no RuntimeWarning, and it is quasi-static
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = dd_scaling(DDProfile(3.0), np.logspace(0, 2, 8), OUNoise(1e200, 1e200))
+        assert np.all(np.isinf(table.markov_params))
+        assert set(table.regimes) == {RegimeKind.QUASI_STATIC}
 
 
 def _ghz_optimum_highprec(two_s, b, tau_c):
@@ -334,7 +368,11 @@ class TestGhzOptimumAtTheFloatRange:
     @pytest.mark.parametrize(
         "two_s,b,tau_c",
         [(1, 2.1544346900319308e-147, 1.0), (1, 1e200, 1.0), (2_000_000, 1e-150, 1e150),
-         (1, 1e150, 1e-150), (1, 1e-100, 1e150), (1, 1e-60, 1e-60), (7, 3e140, 2e-141)],
+         (1, 1e150, 1e-150), (1, 1e-100, 1e150), (1, 1e-60, 1e-60), (7, 3e140, 2e-141),
+         # (2S)^2 overflows
+         pytest.param(2 * 10**300, 1.0, 1.0, id="2e300-1.0-1.0"),
+         pytest.param(3 * 10**154, 1.0, 1.0, id="3e154-1.0-1.0"),
+         pytest.param(2 * 10**160, 1e-100, 1.0, id="2e160-1e-100-1.0")],
     )
     def test_against_high_precision(self, two_s, b, tau_c):
         result = yield_rate(SpinQuantumNumber(two_s), OUNoise(b, tau_c))
@@ -373,7 +411,6 @@ class TestFitLogLog:
     def _table(values, rates):
         n = len(values)
         return SweepTable(
-            param_name="b",
             values=np.asarray(values, float),
             rates=np.asarray(rates, float),
             tau_opts=np.ones(n),

@@ -1,5 +1,6 @@
 import contextvars
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestNoisyGHZ:
 
     def test_underflow_returns_zero(self):
         assert ghz_qfi_values(SpinQuantumNumber(200), OUNoise(10.0, 10.0), 1e3) == 0.0
+
+    def test_spin_whose_square_overflows(self):
+        # 2S = 2e300, b = tau_c = 1: chi = tau^2/2 underflows at tau <= 1e-299,
+        # but (2S)^2 chi = 2 and 200 there, so F = 4 e^-4 and 400 e^-400
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = ghz_qfi_values(SpinQuantumNumber.from_s(1e300), OUNoise(1.0, 1.0),
+                                    np.array([0.0, 1e-300, 1e-299, 1.0]))
+        # the exponent comes from logs of size ~1400, so it carries ~1e-13 relative
+        # error: 6e-11 of F where the exponent is 400
+        np.testing.assert_allclose(values, [0.0, 4 * math.exp(-4), 400 * math.exp(-400), 0.0],
+                                   rtol=1e-9)
 
     def test_monotone_degradation_in_b(self):
         s, tau = SpinQuantumNumber(4), 0.3
