@@ -55,13 +55,28 @@ def _visibility(s: SpinQuantumNumber, noise: OUNoise, tau: float) -> float:
     return math.exp(-_law_chi(_free_law(noise.b, noise.tau_c), tau, 2.0 * math.log(s.two_s)))
 
 
+def _signal_phase(s: SpinQuantumNumber, omega: float, tau: float) -> float:
+    """theta = 2S omega tau; FloatingPointError where it is not finite."""
+    theta = s.two_s * omega * tau
+    if not math.isfinite(theta):
+        raise FloatingPointError(
+            f"signal phase 2S omega tau = {theta!r} is not finite at 2S={s.two_s}, "
+            f"omega={omega!r}, tau={tau!r}")
+    return theta
+
+
 def outcome_probability(
     s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: float
 ) -> tuple[float, float]:
-    """Outcome distribution (P+, P-); sums to one exactly."""
+    """Outcome distribution (P+, P-); sums to one exactly.  (1/2, 1/2)
+    where V = 0, whatever the phase; elsewhere a phase 2S omega tau that is
+    not finite raises FloatingPointError."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    p_plus = 0.5 * (1.0 + _visibility(s, noise, tau) * math.cos(s.two_s * omega * tau))
+    v = _visibility(s, noise, tau)
+    if v == 0.0:
+        return 0.5, 0.5
+    p_plus = 0.5 * (1.0 + v * math.cos(_signal_phase(s, omega, tau)))
     return p_plus, 1.0 - p_plus
 
 
@@ -70,12 +85,13 @@ def classical_fisher(s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: fl
 
     F = (2 S tau)^2 V^2 sin^2(theta) / (1 - V^2 cos^2(theta)) with
     theta = 2 S omega tau; equals the quantum Fisher information at
-    theta = pi/2.
+    theta = pi/2.  0 where V = 0; elsewhere a theta that is not finite
+    raises FloatingPointError.
     """
     v = _visibility(s, noise, tau)
     if v == 0.0:  # the outcome no longer depends on omega; (2S tau)^2 may overflow
         return 0.0
-    theta = s.two_s * omega * tau
+    theta = _signal_phase(s, omega, tau)
     vc = v * math.cos(theta)
     denom = 1.0 - vc * vc
     if denom <= 0:
@@ -115,7 +131,8 @@ def simulate_and_estimate(
     depend on how blocks are scheduled, and a run's counts are a prefix of
     any longer run's.  nu and repetitions must be integers >= 1 and seed an
     integer >= 0 (a bool or a float is refused).  With nu = 1 every repetition is flagged and the
-    aggregate statistics are NaN.
+    aggregate statistics are NaN.  A visibility that underflows to 0 leaves
+    nothing to estimate and raises FloatingPointError before any draw.
     """
     _check_count("nu", nu)
     _check_count("repetitions", repetitions)
@@ -128,6 +145,10 @@ def simulate_and_estimate(
             "phase sits near quadrature"
         )
     v = _visibility(s, noise, tau)
+    if v == 0.0:
+        raise FloatingPointError(
+            f"visibility exp(-(2S)^2 chi) underflows to 0 at 2S={s.two_s}, {noise!r}, "
+            f"tau={tau!r}: the outcomes carry no information about omega")
     p_true, _ = outcome_probability(s, noise, tau, omega_true)
     counts = _binomial_counts(nu, p_true, seed, repetitions)
     arg = (2.0 * counts / nu - 1.0) / v

@@ -403,11 +403,14 @@ def mc_coherence(
 
     The blocks are spread over one thread per usable CPU (at most one per
     block): thread k draws blocks k, k + threads, ... in chunks of
-    _MC_CHUNK_ROWS rows into its own buffer and writes their phases into
-    disjoint slices of one array.  Drawing and the dot products release the
-    GIL, so the threads run on separate cores.  Every draw, row and reduction
-    is the same as in one thread, so the result does not depend on the
-    number of CPUs.  paths must be an integer >= ``config.MC_MIN_PATHS`` and
+    _MC_CHUNK_ROWS rows into its own buffer, reduces them into its own block
+    of phases and writes exp(-i 2S phase) of the block, exponentiated in
+    place, into its slice of the call's one complex array.  Drawing, the dot
+    products and the exp release the GIL, so the threads run on separate
+    cores.  Every draw, row and reduction is the same as in one thread, so
+    the result does not depend on the number of CPUs.  At its peak a call
+    holds 24 bytes per path, that array and the float temporary of one
+    std, plus each thread's buffers.  paths must be an integer >= ``config.MC_MIN_PATHS`` and
     seed an integer >= 0 (a bool or a float is refused).
     """
     _check_count("paths", paths, config.MC_MIN_PATHS)
@@ -426,23 +429,29 @@ def mc_coherence(
     steps = _mc_steps(tau, dt)
     c = _phase_weights(noise, tau / steps, steps)
     block = config.MC_BLOCK_SIZE
-    phase = np.empty(paths)
+    scale = -float(s.two_s)
+    z = np.empty(paths, dtype=complex)
 
     def draw(first: int, stride: int) -> None:
-        # blocks first, first + stride, ... into this thread's own buffer; each
-        # block's rows of phase are written by one thread only
+        # blocks first, first + stride, ... into this thread's own buffers; each
+        # block's rows of z are written by one thread only
         buf = np.empty((min(_MC_CHUNK_ROWS, paths), steps + 1))
+        phase = np.empty(min(block, paths))
         for j in range(first, -(-paths // block), stride):
             rng = np.random.default_rng([seed, j])
-            end = min((j + 1) * block, paths)
+            z_block = z[j * block : min((j + 1) * block, paths)]
             # consecutive row chunks of one stream are the rows of the whole block
-            for lo in range(j * block, end, _MC_CHUNK_ROWS):
-                xi = buf[: min(_MC_CHUNK_ROWS, end - lo)]
+            for lo in range(0, len(z_block), _MC_CHUNK_ROWS):
+                xi = buf[: min(_MC_CHUNK_ROWS, len(z_block) - lo)]
                 rng.standard_normal(out=xi)
                 np.matmul(xi, c, out=phase[lo : lo + len(xi)])
+            # exp(-i 2S phase), the imaginary part -2S phase + 0.0 as in the complex product
+            z_block.real = 0.0
+            np.multiply(phase[: len(z_block)], scale, out=z_block.imag)
+            z_block.imag += 0.0
+            np.exp(z_block, out=z_block)
 
     _on_threads(draw, _mc_draw_threads(paths))
-    z = np.exp(-1j * s.two_s * phase)
     return McCoherence(
         mean=complex(z.mean()),
         stderr_real=float(z.real.std(ddof=1) / math.sqrt(paths)),

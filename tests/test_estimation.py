@@ -18,6 +18,7 @@ from spinsense import (
     simulate_and_estimate,
     yield_rate,
 )
+from spinsense import estimation
 from spinsense.config import MC_BLOCK_SIZE
 from spinsense.estimation import _binomial_counts
 from spinsense.validate import estimator_suite
@@ -98,6 +99,36 @@ class TestSpinWhoseSquareOverflows:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert classical_fisher(self.S, self.NOISE, 1.0, 1.0) == 0.0
+
+
+class TestPhaseOrVisibilityOutOfRange:
+    def test_overflowing_phase_where_v_is_zero(self):
+        # 2S omega tau = 2e310 overflows, but V = 0: the outcome is a fair coin
+        s, noise = SpinQuantumNumber.from_s(1e300), OUNoise(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome_probability(s, noise, 1e10, 1.0) == (0.5, 0.5)
+            assert classical_fisher(s, noise, 1e10, 1.0) == 0.0
+
+    @pytest.mark.parametrize("f", [outcome_probability, classical_fisher])
+    def test_overflowing_phase_where_v_is_positive(self, f):
+        s, noise = SpinQuantumNumber(2), OUNoise(1.0, 1.0)
+        assert math.exp(-4 * chi(noise, 1.0)) == pytest.approx(0.23, abs=0.01)
+        with pytest.raises(FloatingPointError, match="signal phase 2S omega tau = inf"):
+            f(s, noise, 1.0, 1e308)
+
+    def test_estimate_where_v_underflows(self, monkeypatch):
+        s, noise, tau = SpinQuantumNumber(8), OUNoise(1.0, 1.0), 20.0
+        assert math.exp(-64 * chi(noise, tau)) == 0.0
+
+        def no_draw(*args):
+            raise AssertionError("drew counts")
+
+        monkeypatch.setattr(estimation, "_binomial_counts", no_draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="visibility .* underflows to 0"):
+                simulate_and_estimate(s, noise, tau, (math.pi / 2) / 160, 100, 0)
 
 
 class TestClassicalFisher:

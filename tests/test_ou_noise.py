@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -479,6 +480,26 @@ class TestMcCoherence:
         folded = xi @ _phase_weights(noise, dt, steps)
         spread = np.sqrt(np.mean(reference**2))
         assert np.max(np.abs(folded - reference)) <= 1e-12 * spread
+
+    def test_working_set(self, monkeypatch):
+        # the bound: the complex factors (16 bytes per path) plus the one float
+        # temporary of std (8), each drawing thread's 64-row buffer of normals and
+        # its block of phases, and 64 KiB for the rest
+        monkeypatch.setattr(ou_noise, "_usable_cpus", lambda: 2)
+        paths, steps, tau = 100_000, 1000, 1.0
+        assert _mc_steps(tau, tau / steps) == steps
+        per_thread = 8 * (64 * (steps + 1) + config.MC_BLOCK_SIZE)
+        bound = 24 * paths + 2 * per_thread + 64 * 1024
+        noise = OUNoise(1.0, 0.1)
+        # a first call imports what numpy's generators load lazily, outside the trace
+        mc_coherence(SpinQuantumNumber(2), noise, 0.01, 150, 1e-3, seed=3)
+        tracemalloc.start()
+        try:
+            mc_coherence(SpinQuantumNumber(2), noise, tau, paths, tau / steps, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestMcDrawThreads:

@@ -487,6 +487,39 @@ class TestSpin1Scan:
             _, best = protocol._spin1_scanner(d, tau, 2)(p, q)
         assert best.tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("tau_c", [50.0, 100.0])
+    def test_coarse_scan_equals_unflushed_tables(self, tau_c, monkeypatch):
+        # the scanner sets subnormal table entries to 0; the coarse 64 x 64 scan
+        # of the state search picks the same point and F/tau as the tables as computed
+        built, scanner = [], protocol._spin1_scanner
+
+        def keep_tables(d, tau, chunk_rows):
+            built.append((d, tau, chunk_rows))
+            return scanner(d, tau, chunk_rows)
+
+        monkeypatch.setattr(protocol, "_spin1_scanner", keep_tables)
+        scan, _, _ = protocol._spin1_rates(OUNoise(1.0, tau_c))
+        (d, tau, chunk_rows), = built
+        n = config.STATE_GRID_SIZE
+        angles = (np.arange(n) + 0.5) * (np.pi / 2) / n
+        th, ph = np.meshgrid(angles, angles, indexing="ij")
+        p, q = _spin1_coefficients(th.ravel(), ph.ravel())
+        i, best = scan(p, q)
+
+        vp = d ** np.arange(1, 8)[:, None] * tau
+        vq = d ** np.arange(4)[:, None]
+        tiny = np.finfo(float).tiny
+        assert np.any((vp > 0) & (vp < tiny))  # there is something to flush
+        p, q = np.stack(p, axis=1), np.stack(q, axis=1)
+        for k in range(0, len(p), chunk_rows):  # the chunks and masked divide of the scan
+            f, g = p[k : k + chunk_rows] @ vp, q[k : k + chunk_rows] @ vq
+            good = g > 1e-280
+            f *= good
+            np.divide(f, g, out=f, where=good)
+            j = np.argmax(f, axis=1)
+            assert i[k : k + chunk_rows].tolist() == j.tolist()
+            assert best[k : k + chunk_rows].tolist() == f[np.arange(len(j)), j].tolist()
+
 
 class TestStateOptimization:
     def test_quasi_static_ghz_is_nearly_optimal(self):
