@@ -410,8 +410,9 @@ def mc_coherence(
     cores.  Every draw, row and reduction is the same as in one thread, so
     the result does not depend on the number of CPUs.  At its peak a call
     holds 24 bytes per path, that array and the float temporary of one
-    std, plus each thread's buffers.  paths must be an integer >= ``config.MC_MIN_PATHS`` and
-    seed an integer >= 0 (a bool or a float is refused).
+    std, plus each thread's buffers.  paths must be an integer >=
+    ``config.MC_MIN_PATHS`` and seed an integer >= 0 (a bool or a float is
+    refused).
     """
     _check_count("paths", paths, config.MC_MIN_PATHS)
     _check_count("seed", seed, 0)
