@@ -47,7 +47,7 @@ from .ou_noise import OUNoise
 from .protocol import optimize_initial_state_spin1, sweep
 from .qfi import ghz_qfi_values
 from .spin_ops import SpinQuantumNumber
-from .validate import run_suite
+from .validate import SUITES, run_suite
 
 OUTDIR_ENV = "SPINSENSE_OUTDIR"
 
@@ -55,10 +55,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _resolve_out(out: str | None, default_name: str) -> str:
@@ -74,7 +70,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\r\n")
+            cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            fh.write(",".join(cells) + "\r\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -290,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize_state)
 
     p = sub.add_parser("validate", help="run a self-validation suite")
-    p.add_argument("--suite", choices=["mc", "oracle", "estimator", "dd"], required=True)
+    p.add_argument("--suite", choices=list(SUITES), required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_validate)

@@ -12,13 +12,12 @@ fraction and is benchmarked against the error bound 1/sqrt(nu F).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .ou_noise import OUNoise, _check_count, _free_law, _law_chi, chi
+from .ou_noise import OUNoise, _check_count, _ghz_decay
 from .spin_ops import SpinQuantumNumber
 
 # local-estimation window: the prior phase must sit on the monotone branch
@@ -47,14 +46,6 @@ class EstimationRun:
             raise ValueError("nu must be >= 1")
 
 
-def _visibility(s: SpinQuantumNumber, noise: OUNoise, tau: float) -> float:
-    """Fringe visibility V = exp(-(2S)^2 chi(tau)) of the binary measurement;
-    where (2S)^2 overflows, (2S)^2 chi is exp(2 log 2S + log chi)."""
-    if s.two_s**2 <= sys.float_info.max:
-        return math.exp(-s.two_s**2 * chi(noise, tau))
-    return math.exp(-_law_chi(_free_law(noise.b, noise.tau_c), tau, 2.0 * math.log(s.two_s)))
-
-
 def _signal_phase(s: SpinQuantumNumber, omega: float, tau: float) -> float:
     """theta = 2S omega tau; FloatingPointError where it is not finite."""
     theta = s.two_s * omega * tau
@@ -71,9 +62,7 @@ def outcome_probability(
     """Outcome distribution (P+, P-); sums to one exactly.  (1/2, 1/2)
     where V = 0, whatever the phase; elsewhere a phase 2S omega tau that is
     not finite raises FloatingPointError."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    v = _visibility(s, noise, tau)
+    v = math.exp(-_ghz_decay(s.two_s, noise, tau))
     if v == 0.0:
         return 0.5, 0.5
     p_plus = 0.5 * (1.0 + v * math.cos(_signal_phase(s, omega, tau)))
@@ -88,7 +77,7 @@ def classical_fisher(s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: fl
     theta = pi/2.  0 where V = 0; elsewhere a theta that is not finite
     raises FloatingPointError.
     """
-    v = _visibility(s, noise, tau)
+    v = math.exp(-_ghz_decay(s.two_s, noise, tau))
     if v == 0.0:  # the outcome no longer depends on omega; (2S tau)^2 may overflow
         return 0.0
     theta = _signal_phase(s, omega, tau)
@@ -144,7 +133,7 @@ def simulate_and_estimate(
             f"[{_PHASE_LO:.4f}, {_PHASE_HI:.4f}]; choose tau or omega so the "
             "phase sits near quadrature"
         )
-    v = _visibility(s, noise, tau)
+    v = math.exp(-_ghz_decay(s.two_s, noise, tau))
     if v == 0.0:
         raise FloatingPointError(
             f"visibility exp(-(2S)^2 chi) underflows to 0 at 2S={s.two_s}, {noise!r}, "

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -175,6 +176,20 @@ def chi(noise: OUNoise, tau) -> float | np.ndarray:
     return _law_chi(_free_law(noise.b, noise.tau_c), tau)
 
 
+def _ghz_decay(two_s, noise: OUNoise, tau) -> float | np.ndarray:
+    """(2S)^2 chi(tau), the exponent of the GHZ coherence, at a time or an array of times:
+    (2S)^2 chi where (2S)^2 fits in a double, else exp(2 log 2S + log chi)."""
+    if (square := int(two_s) ** 2) <= sys.float_info.max:
+        with np.errstate(over="ignore"):  # inf above the float range, as chi is
+            return float(square) * chi(noise, tau)
+    return _law_chi(_free_law(noise.b, noise.tau_c), tau, 2.0 * math.log(two_s))
+
+
+def _is_normal(x):
+    """Where x is finite and at least the smallest normal double: a usable T2 or optimum."""
+    return (x >= np.finfo(float).tiny) & (x < math.inf)
+
+
 def _illinois(h, a, z, h_a, h_z) -> np.ndarray:
     """Shrink every bracket [a_i, z_i] with h(a_i) <= 0 <= h(z_i) onto a root of h.
 
@@ -248,11 +263,11 @@ def _law_roots(law: _Law, log_a, with_slope: bool) -> np.ndarray:
 
 def _t2(law: _Law, s: SpinQuantumNumber, what: str) -> float:
     """T2 of one spin, the root of 2 log 2S + log chi = 0; FloatingPointError
-    where it is outside the float range."""
+    where it is not a normal double (``_is_normal``)."""
     with np.errstate(over="ignore"):
         root = float(np.exp(_law_roots(law, np.array([2.0 * math.log(s.two_s)]), False)[0]))
-    if not math.isfinite(root):
-        raise FloatingPointError(f"{what} is not finite (it over- or underflows)")
+    if not _is_normal(root):
+        raise FloatingPointError(f"{what} is not a normal double (it over- or underflows)")
     return root
 
 

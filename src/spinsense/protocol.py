@@ -31,6 +31,7 @@ from .ou_noise import (
     _dd_law,
     _free_law,
     _illinois,
+    _is_normal,
     _Law,
     _law_roots,
     classify,
@@ -118,9 +119,8 @@ def _ghz_optima(law: _Law, two_s) -> tuple[np.ndarray, np.ndarray]:
     of log(2 (2S)^2) + log chi + log slope, which increases in log tau; the
     rate is evaluated there as (2S)^2 tau exp(-2 (2S)^2 chi), with the
     exponent taken from log chi, and as 2S (2S tau) exp(...) where (2S)^2
-    overflows.  This is the one rule for a usable optimum: a row whose rate
-    or tau_opt is not finite, or below the smallest normal double (whose 17
-    digits would not be the answer's), is NaN in both.
+    overflows.  A row whose rate or tau_opt is not a normal double
+    (``_is_normal``, the rule of ``t2`` as well) is NaN in both.
     """
     two_s = np.asarray(two_s, dtype=float)
     log_a = math.log(2.0) + 2.0 * np.log(two_s)
@@ -129,8 +129,7 @@ def _ghz_optima(law: _Law, two_s) -> tuple[np.ndarray, np.ndarray]:
         tau, square = np.exp(u), two_s**2
         rate = (np.where(np.isinf(square), two_s * (two_s * tau), square * tau)
                 * np.exp(-np.exp(log_a + law.log_chi(u)[0])))
-    tiny = np.finfo(float).tiny
-    usable = (rate >= tiny) & (rate < math.inf) & (tau >= tiny) & (tau < math.inf)
+    usable = _is_normal(rate) & _is_normal(tau)
     return np.where(usable, tau, np.nan), np.where(usable, rate, np.nan)
 
 

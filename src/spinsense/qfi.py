@@ -16,34 +16,29 @@ generic route is authoritative.
 
 from __future__ import annotations
 
-import math
-import sys
-
 import numpy as np
 
 from . import config
-from .ou_noise import OUNoise, _free_law, _law_chi, chi
+from .ou_noise import OUNoise, _ghz_decay
 from .spin_ops import SpinQuantumNumber, _check_density, _delta_m, dephase
 
 _DRHO_HERMITICITY_TOL = 1e-10
 
 
-def _ghz_values(two_s, chi_values, t):
-    """(2S tau)^2 exp(-2 (2S)^2 chi) for any coherence law; broadcasts."""
-    return (two_s * t) ** 2 * np.exp(-2.0 * two_s**2 * chi_values)
+def _ghz_values(two_s, decay, t):
+    """(2S tau)^2 exp(-2 decay) with decay = (2S)^2 chi, for any coherence law;
+    broadcasts.  Where (2S tau)^2 overflows, it is exp(2 log 2S + 2 log tau - 2 decay)."""
+    with np.errstate(all="ignore"):  # inf * 0 and log 0 only where np.where drops them
+        square = (two_s * t) ** 2
+        return np.where(square < np.inf, square * np.exp(-2.0 * decay),
+                        np.exp(2.0 * (np.log(two_s) + np.log(t)) - 2.0 * decay))
 
 
 def ghz_qfi_values(s: SpinQuantumNumber, noise: OUNoise, tau) -> float | np.ndarray:
-    """Vectorized noisy GHZ-protocol QFI, (2S tau)^2 exp(-2 (2S)^2 chi(tau)).  Where
-    (2S)^2 overflows, it is taken in logs, with (2S)^2 chi as exp(2 log 2S + log chi)."""
+    """Vectorized noisy GHZ-protocol QFI, (2S tau)^2 exp(-2 (2S)^2 chi(tau)), with
+    (2S)^2 chi from ``_ghz_decay``, and in logs where (2S tau)^2 overflows."""
     t = np.asarray(tau, dtype=float)
-    if s.two_s**2 <= sys.float_info.max:
-        out = _ghz_values(s.two_s, chi(noise, t), t)
-    else:
-        log_k = math.log(s.two_s)
-        decay = _law_chi(_free_law(noise.b, noise.tau_c), t, 2.0 * log_k)
-        with np.errstate(divide="ignore"):  # log 0 at tau = 0, where the QFI is 0
-            out = np.exp(2.0 * (log_k + np.log(t)) - 2.0 * decay)
+    out = _ghz_values(float(s.two_s), _ghz_decay(s.two_s, noise, t), t)
     return float(out) if out.ndim == 0 else out
 
 

@@ -54,6 +54,8 @@ class SpinQuantumNumber:
     def __post_init__(self):
         if not isinstance(self.two_s, (int, np.integer)) or self.two_s < 1:
             raise ValueError(f"two_s must be a positive integer, got {self.two_s!r}")
+        if self.two_s > float(np.finfo(float).max):  # from_s's rule: 2S finite as a double
+            raise ValueError(f"two_s must fit a double, got {self.two_s.bit_length()} bits")
 
     @classmethod
     def from_s(cls, s: float) -> "SpinQuantumNumber":

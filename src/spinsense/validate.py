@@ -21,8 +21,8 @@ import numpy as np
 
 from . import config
 from .estimation import classical_fisher, simulate_and_estimate
-from .ou_noise import (DDProfile, McCoherence, OUNoise, _mc_draw_threads, _mc_steps, chi, classify,
-                       mc_coherence)
+from .ou_noise import (DDProfile, McCoherence, OUNoise, _ghz_decay, _mc_draw_threads, _mc_steps,
+                       classify, mc_coherence)
 from .protocol import dd_scaling, yield_rate
 from .qfi import _ghz_values, ghz_qfi_values, qfi_generic, spin1_qfi_values
 from .spin_ops import SpinQuantumNumber, _delta_m, _spin1_amplitudes, dephase, ghz_like_state
@@ -70,7 +70,7 @@ def _mc_row(i: int, seed: int, paths: int) -> tuple[McCoherence, float, str, int
     noise = OUNoise(b, tau_c)
     dt = min(tau_c / 40.0, tau / 50.0)
     est = mc_coherence(s, noise, tau, paths, dt, seed + i)
-    target = math.exp(-s.two_s**2 * chi(noise, tau))
+    target = math.exp(-_ghz_decay(s.two_s, noise, tau))
     return est, target, classify(s.two_s * b * tau_c).value, _mc_steps(tau, dt)
 
 
@@ -181,7 +181,7 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
         at = np.flatnonzero(two_s == k)
         amps = np.tile(ghz_like_state(SpinQuantumNumber(int(k))), (len(at), 1))
         generic[at] = _sld_values(amps, omega[at], tau[at], chi_val[at], counts)
-    worst_ghz = _worst_rel(generic, _ghz_values(two_s, chi_val, tau))
+    worst_ghz = _worst_rel(generic, _ghz_values(two_s, two_s**2 * chi_val, tau))
 
     chi1 = np.minimum(chi_val, 0.75)
     generic1 = _sld_values(_spin1_amplitudes(theta, phi, l1, l2), omega, tau, chi1, counts)

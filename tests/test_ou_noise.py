@@ -211,6 +211,9 @@ class TestT2:
         # T2 = 1/(b^2 tau_c) = 1e400 itself overflows
         with pytest.raises(FloatingPointError):
             t2(SpinQuantumNumber(1), OUNoise(1e-200, 1.0))
+        # T2 = sqrt(2)/(2S b) = 7.07e-311 is below the smallest normal double
+        with pytest.raises(FloatingPointError, match="not a normal double"):
+            t2(SpinQuantumNumber(2 * 10**300), OUNoise(1e10, 1.0))
 
     def test_asymptotes_bracket_within_factor_two(self):
         for param in np.logspace(-4, 4, 40):

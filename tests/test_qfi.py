@@ -105,7 +105,7 @@ def oracle_checks_per_tuple(seed, n_tuples):
     for two_s, tau, chi_val, omega, theta, phi, l1, l2 in rows.tolist():
         psi = ghz_like_state(SpinQuantumNumber(int(two_s)))
         generic = sld_qfi_one_matrix(*dephased(psi, omega, tau, chi_val))
-        closed = float(_ghz_values(two_s, np.asarray(chi_val), np.asarray(tau)))
+        closed = float(_ghz_values(two_s, np.asarray(two_s**2 * chi_val), np.asarray(tau)))
         worst_ghz = max(worst_ghz, abs(generic - closed) / max(generic, closed))
 
         chi1 = min(chi_val, 0.75)
@@ -171,6 +171,24 @@ class TestNoisyGHZ:
         # error: 6e-11 of F where the exponent is 400
         np.testing.assert_allclose(values, [0.0, 4 * math.exp(-4), 400 * math.exp(-400), 0.0],
                                    rtol=1e-9)
+
+    def test_decay_wins_where_the_square_of_2s_tau_overflows(self):
+        # (2S)^2 = 1e300 fits, (2S tau)^2 >= 1e310 does not; (2S)^2 chi overflows too,
+        # so F is 0, where the product inf * 0 would give NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = ghz_qfi_values(SpinQuantumNumber(10**150), OUNoise(1.0, 1.0),
+                                    np.array([1e5, 1e10]))
+        assert values.tolist() == [0.0, 0.0]
+
+    def test_finite_where_the_square_of_2s_tau_overflows(self):
+        # tau << tau_c: chi = b^2 tau^2 / 2 = 2e-299, so (2S)^2 chi = 20 and
+        # F = 1e320 e^-40, finite although (2S tau)^2 = 1e320 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ghz_qfi_values(SpinQuantumNumber(10**150),
+                                   OUNoise(math.sqrt(40.0) * 1e-160, 1e300), 1e10)
+        assert value == pytest.approx(4.248354255291589e302, rel=1e-9)
 
     def test_monotone_degradation_in_b(self):
         s, tau = SpinQuantumNumber(4), 0.3

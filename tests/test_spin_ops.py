@@ -48,6 +48,13 @@ class TestSpinQuantumNumber:
         with pytest.raises(ValueError, match="spin must be finite"):
             SpinQuantumNumber.from_s(s)
 
+    def test_rejects_two_s_whose_float_overflows(self):
+        # the rule of from_s at the type: 2S = 1e400 is refused where it is built,
+        # not as an OverflowError (or a 0) on the route that later converts it
+        with pytest.raises(ValueError, match="must fit a double"):
+            SpinQuantumNumber(10**400)
+        assert float(SpinQuantumNumber(int(1.7e308)).two_s) == 1.7e308
+
 
 class TestOperators:
     """S_z, diagonal with m = S ... -S, generates the signal: d rho/d omega = -i tau [S_z, rho]."""
