@@ -11,7 +11,10 @@ flags or input) or an output that cannot be written, 3 numerical failure (a
 result over- or underflowed).
 
 All numeric output uses 17 significant digits and '.' decimals; re-running
-a command with identical flags reproduces byte-identical CSV.  Every
+a command with identical flags reproduces byte-identical CSV.  An existing
+output file is rewritten in place and cut to its new length, so a rewrite
+killed between the write and the cut can leave the old file's tail behind
+the new text.  Every
 command writes a ``<out>.manifest.json`` recording parameters, seeds, the
 RNG algorithm, the produced files and solver diagnostics (for a sweep, the
 rows written, de-duplicated and failed; for a state optimization, per point
@@ -65,19 +68,34 @@ def _resolve_out(out: str | None, default_name: str) -> str:
     return out
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path``, then cut the file to its length.
+
+    The file is not opened with O_TRUNC: on a journalling file system,
+    truncating an existing file on open costs far more than writing over it
+    and cutting off what is left of a longer old file.  If the process is
+    killed between the write and the cut, the old file's tail can be left
+    behind the new text.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        # only a longer old file is cut, so a device such as /dev/null still works
+        if os.fstat(fh.fileno()).st_size > len(data):
+            fh.truncate()
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
     # RFC 4180: comma-separated, CRLF line endings, UTF-8
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-            fh.write(",".join(cells) + "\r\n")
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\r\n"
+    lines = [",".join(header) + "\r\n"]
+    lines += [row % cells for cells in zip(*(c.tolist() for c in cols))]
+    _write_text(path, "".join(lines))
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(
@@ -144,7 +162,7 @@ def cmd_qfi_curve(args: argparse.Namespace) -> int:
     columns = [ghz_qfi_values(sq, noise, taus) for sq in spins]
     header = ["tau"] + [f"qfi_{sq.s:g}" for sq in spins]
     out = _resolve_out(args.out, "qfi_curve.csv")
-    _write_csv(out, header, zip(taus, *columns))
+    _write_csv(out, header, [taus, *columns])
     params = {
         "s": [sq.s for sq in spins], "b": args.b, "tau_c": args.tau_c,
         "tau_min": args.tau_min, "tau_max": args.tau_max, "points": args.points,
@@ -170,8 +188,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     header = ["param", "rate", "tau_opt", "markov_param", "regime", "status"]
     status = table.status
     out = _resolve_out(args.out, f"sweep_{param}.csv")
-    _write_csv(out, header, zip(table.values, table.rates, table.tau_opts, table.markov_params,
-                                (regime.value for regime in table.regimes), status))
+    _write_csv(out, header, [table.values, table.rates, table.tau_opts, table.markov_params,
+                             [regime.value for regime in table.regimes], status])
     summary = {
         "param": param,
         "fixed": fixed,
@@ -199,22 +217,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_optimize_state(args: argparse.Namespace) -> int:
     started = time.time()
     tau_cs = _log_grid(args.tau_c_min, args.tau_c_max, args.points, "--tau-c-min", "--tau-c-max")
+    results = [optimize_initial_state_spin1(OUNoise(args.b, float(tc))) for tc in tau_cs]
     header = ["tau_c", "r_ghz", "r_opt", "theta_opt", "phi_opt", "fidelity"]
-    rows, solves = [], []
-    for tc in tau_cs:
-        res = optimize_initial_state_spin1(OUNoise(args.b, float(tc)))
-        rows.append([float(tc), res.r_ghz, res.r_max, res.theta_opt, res.phi_opt,
-                     res.fidelity_with_ghz])
-        solves.append({
-            "tau_c": float(tc),
-            "rate_evaluations": res.rate_evaluations,
-            "passes": res.passes,
-            "starts": [{"theta": th, "phi": ph, "rate": r} for th, ph, r in res.starts],
-            "ghz_won": res.ghz_won,
-            "unbracketed": res.unbracketed,
-        })
+    fields = ["r_ghz", "r_max", "theta_opt", "phi_opt", "fidelity_with_ghz"]
     out = _resolve_out(args.out, "optimize_state.csv")
-    _write_csv(out, header, rows)
+    _write_csv(out, header, [tau_cs] + [[getattr(res, f) for res in results] for f in fields])
+    solves = [{
+        "tau_c": float(tc),
+        "rate_evaluations": res.rate_evaluations,
+        "passes": res.passes,
+        "starts": [{"theta": th, "phi": ph, "rate": r} for th, ph, r in res.starts],
+        "ghz_won": res.ghz_won,
+        "unbracketed": res.unbracketed,
+    } for tc, res in zip(tau_cs, results)]
     params = {"b": args.b, "tau_c_min": args.tau_c_min, "tau_c_max": args.tau_c_max,
               "points": args.points}
     _write_manifest(out, "optimize-state", params, None, started, [out], {"points": solves})

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import config
 from .ou_noise import OUNoise, _check_count, _ghz_decay
+from .qfi import _ghz_values
 from .spin_ops import SpinQuantumNumber
 
 # local-estimation window: the prior phase must sit on the monotone branch
@@ -51,7 +52,7 @@ def _signal_phase(s: SpinQuantumNumber, omega: float, tau: float) -> float:
     theta = s.two_s * omega * tau
     if not math.isfinite(theta):
         raise FloatingPointError(
-            f"signal phase 2S omega tau = {theta!r} is not finite at 2S={s.two_s}, "
+            f"signal phase 2S omega tau = {theta!r} is not finite at 2S={s.two_s:.16g}, "
             f"omega={omega!r}, tau={tau!r}")
     return theta
 
@@ -75,9 +76,11 @@ def classical_fisher(s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: fl
     F = (2 S tau)^2 V^2 sin^2(theta) / (1 - V^2 cos^2(theta)) with
     theta = 2 S omega tau; equals the quantum Fisher information at
     theta = pi/2.  0 where V = 0; elsewhere a theta that is not finite
-    raises FloatingPointError.
+    raises FloatingPointError.  Where (2S tau)^2 overflows, (2S tau V)^2 is
+    taken in logs, as for the QFI curve (``qfi._ghz_values``).
     """
-    v = math.exp(-_ghz_decay(s.two_s, noise, tau))
+    decay = _ghz_decay(s.two_s, noise, tau)
+    v = math.exp(-decay)
     if v == 0.0:  # the outcome no longer depends on omega; (2S tau)^2 may overflow
         return 0.0
     theta = _signal_phase(s, omega, tau)
@@ -85,7 +88,12 @@ def classical_fisher(s: SpinQuantumNumber, noise: OUNoise, tau: float, omega: fl
     denom = 1.0 - vc * vc
     if denom <= 0:
         raise ValueError("degenerate outcome distribution: P is 0 or 1")
-    return (s.two_s * tau) ** 2 * v**2 * math.sin(theta) ** 2 / denom
+    try:
+        square = (s.two_s * tau) ** 2
+    except OverflowError:
+        square_v2 = float(_ghz_values(float(s.two_s), decay, np.float64(tau)))
+        return square_v2 * math.sin(theta) ** 2 / denom
+    return square * v**2 * math.sin(theta) ** 2 / denom
 
 
 def _binomial_counts(nu: int, p: float, seed: int, repetitions: int) -> np.ndarray:
@@ -136,7 +144,7 @@ def simulate_and_estimate(
     v = math.exp(-_ghz_decay(s.two_s, noise, tau))
     if v == 0.0:
         raise FloatingPointError(
-            f"visibility exp(-(2S)^2 chi) underflows to 0 at 2S={s.two_s}, {noise!r}, "
+            f"visibility exp(-(2S)^2 chi) underflows to 0 at 2S={s.two_s:.16g}, {noise!r}, "
             f"tau={tau!r}: the outcomes carry no information about omega")
     p_true, _ = outcome_probability(s, noise, tau, omega_true)
     counts = _binomial_counts(nu, p_true, seed, repetitions)

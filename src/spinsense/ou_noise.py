@@ -274,12 +274,13 @@ def _t2(law: _Law, s: SpinQuantumNumber, what: str) -> float:
 def t2(s: SpinQuantumNumber, noise: OUNoise) -> float:
     """Decoherence time: the extremal coherence decays to 1/e, (2S)^2 chi(T2) = 1."""
     return _t2(_free_law(noise.b, noise.tau_c), s,
-               f"T2 at 2S={s.two_s}, b={noise.b!r}, tau_c={noise.tau_c!r}")
+               f"T2 at 2S={s.two_s:.16g}, b={noise.b!r}, tau_c={noise.tau_c!r}")
 
 
 def dd_t2(s: SpinQuantumNumber, noise: OUNoise, profile: DDProfile) -> float:
     """Decoherence time under pulsed control, (2S)^2 chi_dd(T2) = 1."""
-    return _t2(_dd_law(noise, profile), s, f"pulsed-control T2 at 2S={s.two_s}, n={profile.n!r}")
+    return _t2(_dd_law(noise, profile), s,
+               f"pulsed-control T2 at 2S={s.two_s:.16g}, n={profile.n!r}")
 
 
 def classify(markov_param: float) -> RegimeKind:

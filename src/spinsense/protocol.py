@@ -143,7 +143,7 @@ def yield_rate(s: SpinQuantumNumber, noise: OUNoise) -> YieldResult:
     tau_opt, rate = _ghz_optima(_free_law(noise.b, noise.tau_c), [s.two_s])
     if np.isnan(rate[0]):
         raise FloatingPointError(
-            f"yield rate or tau_opt at 2S={s.two_s}, {noise!r} is not a normal double")
+            f"yield rate or tau_opt at 2S={s.two_s:.16g}, {noise!r} is not a normal double")
     return YieldResult(float(rate[0]), float(tau_opt[0]))
 
 

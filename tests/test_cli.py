@@ -502,6 +502,75 @@ class TestInProcessCalls:
         capsys.readouterr()
 
 
+def read_outputs(directory):
+    """Every file of ``directory`` by name; manifests parsed, without duration_s."""
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        data = (directory / name).read_bytes()
+        if name.endswith(".manifest.json"):
+            data = json.loads(data)
+            data.pop("duration_s")
+        files[name] = data
+    return files
+
+
+class TestOutputFiles:
+    """Outputs are written over an existing file in place and cut to length."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1", "--points", "8"], "q.csv"),
+        (["sweep", "--param", "b", "--min", "0.1", "--max", "10", "--points", "8",
+          "--s", "0.5", "--tau-c", "1"], "sw.csv"),
+        (["optimize-state", "--b", "1", "--tau-c-min", "1", "--tau-c-max", "1",
+          "--points", "1"], "opt.csv"),
+        (["validate", "--suite", "dd"], "dd.json"),
+    ], ids=["qfi-curve", "sweep", "optimize-state", "validate"])
+    def test_rewrite_over_longer_files_equals_a_fresh_run(self, tmp_path, capsys, argv, name):
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        fresh.mkdir()
+        over.mkdir()
+        assert run(argv + ["--out", str(fresh / name)]) == 0
+        names = sorted(os.listdir(fresh))
+        assert len(names) >= 2  # the data and its manifest, for a sweep its summary too
+        umask = os.umask(0)
+        os.umask(umask)
+        for n in names:
+            assert os.stat(fresh / n).st_mode & 0o777 == 0o666 & ~umask
+            (over / n).write_bytes(b"#" * ((fresh / n).stat().st_size + 4096))
+            os.chmod(over / n, 0o640)
+        assert run(argv + ["--out", str(over / name)]) == 0
+        capsys.readouterr()
+        assert read_outputs(over) == read_outputs(fresh)
+        assert all(os.stat(over / n).st_mode & 0o777 == 0o640 for n in names)
+
+    def test_out_through_a_symlink(self, tmp_path):
+        argv = ["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1", "--points", "8"]
+        assert run(argv + ["--out", str(tmp_path / "fresh.csv")]) == 0
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "curve.csv"
+        target.write_bytes(b"#" * 10_000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run(argv + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_write_to_a_device_that_cannot_be_cut(self):
+        cli._write_text(os.devnull, "text\n")  # ftruncate fails on /dev/null
+
+    def test_csv_cells_equal_per_cell_formatting(self, tmp_path):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                  0.1, -1 / 3]
+        columns = [np.array(floats), floats[::-1], list(range(-4, 4)),
+                   ("ok", "failed", "quasi-static", "", "a b", "é", "ok", "nan")]
+        path = tmp_path / "cells.csv"
+        cli._write_csv(str(path), ["f", "g", "i", "s"], columns)
+        lines = ["f,g,i,s"] + [
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+            for row in zip(*columns)]
+        assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode("utf-8")
+
+
 class TestOutputDirEnv:
     def test_default_directory_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))

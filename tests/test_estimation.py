@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsense import (
+    DDProfile,
     OUNoise,
     SpinQuantumNumber,
     chi,
     classical_fisher,
+    dd_t2,
     dephase,
     ghz_like_state,
     outcome_probability,
     ghz_qfi_values,
     simulate_and_estimate,
+    t2,
     yield_rate,
 )
 from spinsense import estimation
@@ -117,6 +120,22 @@ class TestPhaseOrVisibilityOutOfRange:
         with pytest.raises(FloatingPointError, match="signal phase 2S omega tau = inf"):
             f(s, noise, 1.0, 1e308)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: outcome_probability(s, OUNoise(1e-300, 1.0), 1.0, 1e10),  # V = e^-2
+        lambda s: simulate_and_estimate(s, OUNoise(1.0, 1.0), 1.0, (math.pi / 2) / 2e300, 100, 0),
+        lambda s: t2(s, OUNoise(1e10, 1.0)),
+        lambda s: dd_t2(s, OUNoise(1e100, 1e-300), DDProfile(3)),
+        lambda s: yield_rate(s, OUNoise(1e10, 1.0)),
+    ], ids=["phase", "visibility", "t2", "dd_t2", "yield_rate"])
+    def test_messages_print_a_huge_spin_compactly(self, call):
+        with pytest.raises(FloatingPointError, match=r"at 2S=2e\+300, ") as info:
+            call(SpinQuantumNumber(2 * 10**300))
+        assert len(str(info.value)) < 200
+
+    def test_messages_print_an_ordinary_spin_as_an_integer(self):
+        with pytest.raises(FloatingPointError, match=r"^T2 at 2S=3, b=1e-200, tau_c=1.0 is"):
+            t2(SpinQuantumNumber(3), OUNoise(1e-200, 1.0))
+
     def test_estimate_where_v_underflows(self, monkeypatch):
         s, noise, tau = SpinQuantumNumber(8), OUNoise(1.0, 1.0), 20.0
         assert math.exp(-64 * chi(noise, tau)) == 0.0
@@ -138,6 +157,17 @@ class TestClassicalFisher:
         cfi = classical_fisher(s, noise, tau, omega)
         qfi = ghz_qfi_values(s, noise, tau)
         assert abs(cfi - qfi) <= 1e-12 * qfi
+
+    def test_saturates_qfi_where_the_squared_phase_scale_overflows(self):
+        # (2S tau)^2 = 1e320 overflows, but (2S tau V)^2 sin^2 / (1 - V^2 cos^2) does not
+        s, tau = SpinQuantumNumber(10**150), 1e10
+        noise = OUNoise(math.sqrt(40) * 1e-160, 1e300)
+        omega = math.pi / (2 * 10**150 * tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfi = classical_fisher(s, noise, tau, omega)
+        assert cfi == pytest.approx(ghz_qfi_values(s, noise, tau), rel=1e-12)
+        assert cfi == pytest.approx(4.2484e302, rel=1e-4)
 
     def test_zero_at_zero_phase_with_damping(self):
         s, noise = SpinQuantumNumber(2), OUNoise(1.0, 0.5)
