@@ -69,14 +69,10 @@ def _resolve_out(out: str | None, default_name: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8 over ``path``, then cut the file to its length.
+    """Write ``text`` as UTF-8 over ``path``, then cut a longer old file to length.
 
-    The file is not opened with O_TRUNC: on a journalling file system,
-    truncating an existing file on open costs far more than writing over it
-    and cutting off what is left of a longer old file.  If the process is
-    killed between the write and the cut, the old file's tail can be left
-    behind the new text.
-    """
+    No O_TRUNC: on a journalling file system, truncating an existing file on
+    open costs far more than writing over it and cutting what is left."""
     data = text.encode("utf-8")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(data)
