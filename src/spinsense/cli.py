@@ -7,8 +7,8 @@ Subcommands
     validate        self-validation suites (exit 1 if any check fails)
 
 Exit codes: 0 success, 1 a validation suite failed, 2 usage error (bad
-flags or input) or an output that cannot be written, 3 numerical failure (a
-result over- or underflowed).
+flags or input, or an input too large to hold in memory) or an output that
+cannot be written, 3 numerical failure (a result over- or underflowed).
 
 All numeric output uses 17 significant digits and '.' decimals; re-running
 a command with identical flags reproduces byte-identical CSV.  An existing
@@ -50,7 +50,7 @@ from .ou_noise import OUNoise
 from .protocol import optimize_initial_state_spin1, sweep
 from .qfi import ghz_qfi_values
 from .spin_ops import SpinQuantumNumber
-from .validate import SUITES, run_suite
+from .validate import SUITES
 
 OUTDIR_ENV = "SPINSENSE_OUTDIR"
 
@@ -234,8 +234,7 @@ def cmd_optimize_state(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     started = time.time()
-    diagnostics: dict = {}
-    checks = run_suite(args.suite, args.seed, diagnostics)
+    checks, diagnostics = SUITES[args.suite](args.seed)
     all_passed = all(c.passed for c in checks)
     report = {
         "suite": args.suite,
@@ -322,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"{parser.prog}: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)

@@ -223,6 +223,8 @@ def _sweep_rows(parameter: str, grid, s, b, tau_c):
     if any(fixed[name] is None for name in required):
         raise ValueError(f"{parameter}-sweep requires fixed {' and '.join(required)}")
     if parameter == "s":
+        if not math.isfinite(2 * float(g[-1])):  # g increases: only its last 2S can overflow
+            raise ValueError(f"spin must be finite, with 2S finite, got {float(g[-1])!r}")
         two_s = np.array(sorted({max(1, round(2 * v)) for v in g}), dtype=float)
         values = two_s / 2.0
     else:

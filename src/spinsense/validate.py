@@ -1,6 +1,6 @@
 """Self-validation suites: every analytic result against an independent route.
 
-Four suites, each returning a list of check records:
+Four suites, each returning its checks and its manifest diagnostics (none for dd):
 
 * ``mc``        sampled-noise coherence against the closed-form decay
 * ``oracle``    closed-form QFI against the generic eigendecomposition route,
@@ -14,7 +14,6 @@ Four suites, each returning a list of check records:
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,7 @@ def _mc_row(i: int, seed: int, paths: int) -> tuple[McCoherence, float, str, int
     return est, target, classify(s.two_s * b * tau_c).value, _mc_steps(tau, dt)
 
 
-def mc_suite(seed: int) -> list[CheckResult]:
+def mc_suite(seed: int) -> tuple[list[CheckResult], dict]:
     """Sampled coherence vs exp(-(2S)^2 chi) over the three-regime grid, MC_PATHS
     paths per row; the diagnostics record the paths, the trapezoid steps per
     grid row, the normals drawn and the threads that draw them."""
@@ -88,10 +87,9 @@ def mc_suite(seed: int) -> list[CheckResult]:
         checks.append(_check(f"{tag} im", est.mean.imag, 0.0, 3.0 * est.stderr_imag))
         if target > 0.1:
             checks.append(_check(f"{tag} re rel", est.mean.real / target, 1.0, 0.01))
-    _DIAGNOSTICS.get({}).update(paths=MC_PATHS, steps=steps,
-                                normals=MC_PATHS * sum(k + 1 for k in steps),
-                                draw_threads=_mc_draw_threads(MC_PATHS))
-    return checks
+    return checks, {"paths": MC_PATHS, "steps": steps,
+                    "normals": MC_PATHS * sum(k + 1 for k in steps),
+                    "draw_threads": _mc_draw_threads(MC_PATHS)}
 
 
 # matrix entries (rows x d^2) per stack of the oracle's SLD route: 32 rows at
@@ -161,7 +159,7 @@ def _oracle_draws(seed: int, n_tuples: int) -> tuple[np.ndarray, int]:
     return np.column_stack([np.concatenate(kept), uniforms]), int(rejected)
 
 
-def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
+def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float, dict]:
     """Worst relative disagreements of the two closed forms vs the SLD route,
     and the worst absolute spread of the spin-1 QFI over the state phases.
 
@@ -170,7 +168,7 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     checks and diagonalizes the density matrices in stacks of at most
     _SLD_STACK_ENTRIES matrix entries (GHZ states grouped by dimension,
     spin-1 states at d = 3), sharing no code with the closed forms; the
-    diagnostics count the matrices and stacks per dimension.
+    diagnostics, returned last, count the matrices and stacks per dimension.
     """
     rows, rejected = _oracle_draws(seed, n_tuples)
     two_s, tau, chi_val, omega, theta, phi, l1, l2 = rows.T
@@ -193,22 +191,22 @@ def oracle_checks(seed: int, n_tuples: int) -> tuple[float, float, float]:
     phase_amps = _spin1_amplitudes(0.7, 0.9, phases1.ravel(), phases2.ravel())
     vals = _sld_values(phase_amps, 0.8, 0.6, 0.2, counts)
     phase_spread = float(np.max(vals) - np.min(vals))
-    _DIAGNOSTICS.get({}).update(tuples=n_tuples, draws_rejected=rejected,
-                                **{name: dict(sorted(t.items())) for name, t in counts.items()})
-    return worst_ghz, worst_spin1, phase_spread
+    diagnostics = {"tuples": n_tuples, "draws_rejected": rejected,
+                   **{name: dict(sorted(t.items())) for name, t in counts.items()}}
+    return worst_ghz, worst_spin1, phase_spread, diagnostics
 
 
-def oracle_suite(seed: int) -> list[CheckResult]:
+def oracle_suite(seed: int) -> tuple[list[CheckResult], dict]:
     """``oracle_checks`` on 1000 tuples against their bounds."""
-    worst_ghz, worst_spin1, phase_spread = oracle_checks(seed, 1000)
+    worst_ghz, worst_spin1, phase_spread, diagnostics = oracle_checks(seed, 1000)
     return [
         _check("oracle ghz closed-form vs sld (worst rel)", worst_ghz, 0.0, 1e-8),
         _check("oracle spin-1 closed-form vs sld (worst rel)", worst_spin1, 0.0, 1e-8),
         _check("oracle spin-1 phase independence (abs spread)", phase_spread, 0.0, 1e-10),
-    ]
+    ], diagnostics
 
 
-def estimator_suite(seed: int) -> list[CheckResult]:
+def estimator_suite(seed: int) -> tuple[list[CheckResult], dict]:
     """Fisher-information saturation and estimator efficiency at quadrature."""
     s = SpinQuantumNumber(8)
     noise = OUNoise(1.0, 0.1)
@@ -218,17 +216,15 @@ def estimator_suite(seed: int) -> list[CheckResult]:
     qfi = ghz_qfi_values(s, noise, tau)
     # 4000 repetitions scatter std/CRB by ~1.1%, well inside the 5% bound
     run = simulate_and_estimate(s, noise, tau, omega, nu=10_000, seed=seed, repetitions=4000)
-    _DIAGNOSTICS.get({}).update(
-        repetitions=run.repetitions, rng_blocks=-(-run.repetitions // config.MC_BLOCK_SIZE),
-        flagged=run.n_flagged)
     return [
         _check("estimator cfi/qfi at quadrature", cfi / qfi, 1.0, 1e-12),
         _check("estimator sample std / crb", run.sample_std / run.crb, 1.0, 0.05),
         _check("estimator flagged runs", run.n_flagged, 0.0, 0.0),
-    ]
+    ], {"repetitions": run.repetitions,
+        "rng_blocks": -(-run.repetitions // config.MC_BLOCK_SIZE), "flagged": run.n_flagged}
 
 
-def dd_suite(seed: int = 0) -> list[CheckResult]:
+def dd_suite(seed: int = 0) -> tuple[list[CheckResult], dict]:
     """Fitted rate-vs-S exponents for pulsed control in both deep regimes."""
     checks = []
     s_grid = np.logspace(np.log10(1.0), np.log10(128.0), 12)
@@ -241,7 +237,7 @@ def dd_suite(seed: int = 0) -> list[CheckResult]:
     s_grid_m = np.logspace(np.log10(0.5), np.log10(8.0), 10)
     table = dd_scaling(DDProfile(3.0), s_grid_m, mk_noise)
     checks.append(_check("dd markovian exponent n=3", table.fits["markovian"].slope, 0.0, 0.1))
-    return checks
+    return checks, {}
 
 
 SUITES = {
@@ -250,18 +246,3 @@ SUITES = {
     "estimator": estimator_suite,
     "dd": dd_suite,
 }
-
-
-# solver diagnostics of the suite that run_suite is running, filled by the suite
-_DIAGNOSTICS: ContextVar[dict] = ContextVar("spinsense_validate_diagnostics")
-
-
-def run_suite(name: str, seed: int, diagnostics: dict | None = None) -> list[CheckResult]:
-    """Run one suite; ``diagnostics``, if given, receives its solver counts."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    token = _DIAGNOSTICS.set({} if diagnostics is None else diagnostics)
-    try:
-        return SUITES[name](seed)
-    finally:
-        _DIAGNOSTICS.reset(token)

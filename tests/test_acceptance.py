@@ -121,7 +121,7 @@ def test_criterion_3_scaling_exponents():
 def test_criterion_4_monte_carlo_oracle():
     """Sampled coherence vs closed form on the 12-point three-regime grid."""
     started = time.time()
-    checks = mc_suite(seed=42)
+    checks, _ = mc_suite(seed=42)
     failed = [c for c in checks if not c.passed]
     ok = not failed
     report(
@@ -138,7 +138,7 @@ def test_criterion_4_monte_carlo_oracle():
 def test_criterion_5_qfi_oracle_equivalence():
     """Closed forms vs the eigendecomposition route over 1000 random tuples."""
     started = time.time()
-    checks = oracle_suite(seed=123)
+    checks, _ = oracle_suite(seed=123)
     by_name = {c.name: c for c in checks}
     ok = all(c.passed for c in checks)
     report(
@@ -179,7 +179,7 @@ def test_criterion_6_estimation_chain_saturation():
 def test_criterion_7_dd_scaling():
     """Pulsed-control exponents 2 - 2/n (quasi-static) and 0 (Markovian)."""
     started = time.time()
-    checks = dd_suite()
+    checks, _ = dd_suite()
     ok = all(c.passed for c in checks)
     detail = "; ".join(
         f"{c.name.replace('dd ', '')}: {c.measured:+.3f} (want {c.expected:+.3f})"

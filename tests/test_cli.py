@@ -245,6 +245,18 @@ class TestSweepCommand:
             assert float(row[1]) == pytest.approx(math.sqrt(2 / math.e) * s, rel=1e-13)
             assert float(row[2]) == pytest.approx(1 / (math.sqrt(2) * 2 * s), rel=1e-12)
 
+    def test_spin_grid_whose_two_s_overflows_exit_2(self, tmp_path, capsys):
+        # finite spins, but 2S of the top grid value is past the float range
+        out = str(tmp_path / "never.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["sweep", "--param", "s", "--min", "1", "--max", "1.7e308",
+                        "--points", "8", "--b", "1", "--tau-c", "1", "--out", out])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "spin must be finite, with 2S finite" in lines[0]
+        assert not os.listdir(tmp_path)
+
     def test_subnormal_optimum_is_a_failed_row(self, tmp_path):
         # row 0, 2S = 2e15 at b = 1e308: tau_opt = 1/(sqrt(2) 2S b) is subnormal
         out = str(tmp_path / "subnormal.csv")
@@ -393,7 +405,7 @@ class TestValidateCommand:
         from spinsense import validate as validate_mod
 
         def fake_suite(seed):
-            return [CheckResult("forced failure", 1.0, 0.0, 0.1, False)]
+            return [CheckResult("forced failure", 1.0, 0.0, 0.1, False)], {}
 
         monkeypatch.setitem(validate_mod.SUITES, "estimator", fake_suite)
         code = run(["validate", "--suite", "estimator", "--seed", "0",
@@ -569,6 +581,21 @@ class TestOutputFiles:
             ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
             for row in zip(*columns)]
         assert path.read_bytes() == "".join(line + "\r\n" for line in lines).encode("utf-8")
+
+
+class TestInputBeyondMemory:
+    @pytest.mark.parametrize("argv", [
+        ["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1"],
+        ["sweep", "--param", "s", "--min", "1", "--max", "2", "--b", "1", "--tau-c", "1"],
+        ["optimize-state", "--b", "1", "--tau-c-min", "1", "--tau-c-max", "2"],
+    ])
+    def test_points_past_any_address_space_exit_2(self, tmp_path, capsys, argv):
+        # 10**15 float64 points are 8 PB: no allocation of them can succeed
+        out = str(tmp_path / "never.csv")
+        assert run(argv + ["--points", str(10**15), "--out", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("spinsense: out of memory: ")
+        assert not os.listdir(tmp_path)
 
 
 class TestOutputDirEnv:

@@ -215,6 +215,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("b", np.linspace(5.0, 1.0, 10), s=0.5, tau_c=1.0)
 
+    def test_rejects_spin_whose_two_s_overflows(self):
+        # 2S of the top value is past the float range; finite huge spins are solved
+        grid = np.logspace(0, np.log10(1.7e308), 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="with 2S finite"):
+                sweep("s", grid, b=1.0, tau_c=1.0)
+            with pytest.raises(ValueError, match="with 2S finite"):
+                dd_scaling(DDProfile(3.0), grid, OUNoise(1.0, 1.0))
+            table = sweep("s", np.logspace(0, 300, 8), b=1.0, tau_c=1.0)
+        assert len(table) == 8 and np.all(np.isfinite(table.rates))
+
     def test_rejects_missing_fixed_parameters(self):
         with pytest.raises(ValueError):
             sweep("s", np.logspace(0, 1, 8), b=1.0)
