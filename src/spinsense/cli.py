@@ -139,7 +139,9 @@ def _log_grid(low: float, high: float, points: int, low_flag: str, high_flag: st
         raise ValueError(f"{low_flag} ({low!r}) must not exceed {high_flag} ({high!r})")
     if points == 1:
         return np.array([low])
-    return np.logspace(math.log10(low), math.log10(high), points)
+    with np.errstate(over="ignore"):  # 10**log10(high) can round past the largest double
+        grid = np.logspace(math.log10(low), math.log10(high), points)
+    return np.where(np.isfinite(grid), grid, high)
 
 
 def _positive_int(text: str) -> int:

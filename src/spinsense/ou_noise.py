@@ -11,11 +11,11 @@ which crosses over from b^2 tau^2 / 2 (tau << tau_c) to b^2 tau_c tau
 (tau >> tau_c).  The dimensionless product 2*S*b*tau_c decides whether the
 extremal coherence of a spin-S probe dies in the Gaussian (quasi-static) or
 the exponential (Markovian) branch.  T2 and the yield optima are roots in
-log t, solved by one bracketed Illinois solver on log chi and its slope,
-which each coherence law (free or pulsed) gives in closed form.  chi itself
-is exp(log chi) of the same law: over x = tau/tau_c in [1e-8, 1e8] it is
-within 3.4e-14 relative of a 40-digit reference, the worst just below the
-series switch at x = 0.03.
+log t, solved by one safeguarded Newton solver on log chi, its slope and the
+slope of log(t chi'), which each coherence law (free or pulsed) gives in
+closed form.  chi itself is exp(log chi) of the same law: over x = tau/tau_c
+in [1e-8, 1e8] it is within 3.4e-14 relative of a 40-digit reference, the
+worst just below the series switch at x = 0.03.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .spin_ops import SpinQuantumNumber
 # below this x, log chi takes x + e^-x - 1 from a six-term series: at 1e-4 the
 # difference x + expm1(-x) has lost 12 digits, at 0.03 only 2
 _LOG_CHI_SERIES_BELOW = 0.03
-_ROOT_TOL = 1e-12  # bracket width in log t at which a root solve stops
-_ROOT_STEP = 0.4 * _ROOT_TOL  # smallest step of a root solve, in log t
-_LN2 = math.log(2.0)  # bracket moves halve or double t
+_ROOT_TOL = 1e-12  # a row of a root solve stops once its step in log t is at most this
+_ROOT_MAX_STEPS = 100  # a row not stopped after this many steps has no root (NaN)
+_LN2 = math.log(2.0)  # a step toward an open bracket end halves or doubles t
 _MC_CHUNK_ROWS = 64  # paths drawn and reduced per chunk, in each drawing thread's own buffer
 
 
@@ -84,9 +84,9 @@ class DDProfile:
 
 @dataclass(frozen=True)
 class _Law:
-    """A coherence law on rows: ``log_chi`` maps u = log t (one per row) to
-    log chi and the slope d log chi / d log t, with no intermediate product
-    that leaves the float range where log chi is in it.  chi runs from
+    """A coherence law on rows: ``log_chi`` maps u = log t (one per row) to log chi,
+    the slope d log chi / d log t and d log(t chi') / d log t, with no intermediate
+    product that leaves the float range where log chi is in it.  chi runs from
     b^2 tau_c^2 x^n / c at x = t/tau_c << 1 to b^2 tau_c t at x >> 1."""
 
     log_chi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -97,19 +97,22 @@ class _Law:
 
 
 def _log_core_series(lx, x):
-    """log core(x) and its slope d log core / d log x from a six-term series,
-    for x < ``_LOG_CHI_SERIES_BELOW``; lx = log x."""
+    """log core(x), its slope d log core / d log x and d log(x core') / d log x
+    = 1 + x/(e^x - 1) from series, for x < ``_LOG_CHI_SERIES_BELOW``; lx = log x."""
     # core(x)/x^2 = sum_k (-x)^k/(k+2)!, cut where its next term is below 4e-14
     head = 0.5 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x * (1 / 720 - x / 5040))))
-    # slope x (1 - e^-x) / core(x), which is 1/head - x on the series
-    return 2.0 * lx + np.log(head), 1.0 / head - x
+    # slope x (1 - e^-x) / core(x), which is 1/head - x on the series; x/(e^x - 1)
+    # from its Bernoulli series, whose next term is below 1e-18
+    return (2.0 * lx + np.log(head), 1.0 / head - x,
+            2.0 - x * (0.5 - x * (1 / 12 - x * x * (1 / 720 - x * x / 30240))))
 
 
 def _log_core_direct(lx, x):
-    """log core(x) = log(x + expm1(-x)) and its slope, for x >= ``_LOG_CHI_SERIES_BELOW``;
-    where x is inf (t/tau_c overflowed), log core(x) = log x."""
+    """log core(x) = log(x + expm1(-x)), its slope and 1 + x e^-x / (1 - e^-x), for
+    x >= ``_LOG_CHI_SERIES_BELOW``; at x = inf (t/tau_c overflowed) log x, 1 and 1."""
     rise = -np.expm1(-x)  # 1 - e^-x
-    return np.where(x < np.inf, np.log(x - rise), lx), rise / (1.0 - rise / x)
+    return (np.where(x < np.inf, np.log(x - rise), lx), rise / (1.0 - rise / x),
+            1.0 + np.where(x < np.inf, x, 0.0) * (1.0 - rise) / rise)
 
 
 def _free_law(b, tau_c) -> _Law:
@@ -123,14 +126,14 @@ def _free_law(b, tau_c) -> _Law:
         # a branch no row takes is not evaluated; rows get the same values either way
         n_small = np.count_nonzero(small)
         if n_small == small.size:
-            log_core, slope = _log_core_series(lx, x)
+            log_core, slope, bend = _log_core_series(lx, x)
         elif n_small == 0:
-            log_core, slope = _log_core_direct(lx, x)
+            log_core, slope, bend = _log_core_direct(lx, x)
         else:  # each branch on inputs safe for it, joined per row
-            log_s, slope_s = _log_core_series(lx, np.where(small, x, 0.0))
-            log_d, slope_d = _log_core_direct(lx, np.where(small, 1.0, x))
-            log_core, slope = np.where(small, log_s, log_d), np.where(small, slope_s, slope_d)
-        return 2.0 * (log_b + log_tau_c) + log_core, slope
+            parts = zip(_log_core_series(lx, np.where(small, x, 0.0)),
+                        _log_core_direct(lx, np.where(small, 1.0, x)))
+            log_core, slope, bend = (np.where(small, on_s, on_d) for on_s, on_d in parts)
+        return 2.0 * (log_b + log_tau_c) + log_core, slope, bend
 
     return _Law(log_chi, log_b, log_tau_c)
 
@@ -144,9 +147,11 @@ def _dd_law(noise: OUNoise, profile: DDProfile) -> _Law:
     def log_chi(u):
         lx = u - log_tau_c
         log_den = np.logaddexp(log_c, (n - 1.0) * lx)
-        # slope n - (n - 1) x^(n-1) / (c + x^(n-1))
-        return (2.0 * (log_b + log_tau_c) + n * lx - log_den,
-                n - (n - 1.0) * np.exp((n - 1.0) * lx - log_den))
+        # slope n - (n - 1) y with y = x^(n-1) / (c + x^(n-1)), whose log-derivative
+        # (n - 1) (1 - y) gives the last value; y (1 - y) is taken from logs
+        slope = n - (n - 1.0) * np.exp((n - 1.0) * lx - log_den)
+        return (2.0 * (log_b + log_tau_c) + n * lx - log_den, slope,
+                slope - (n - 1.0) ** 2 * np.exp((n - 1.0) * lx + log_c - 2.0 * log_den) / slope)
 
     return _Law(log_chi, log_b, log_tau_c, n, profile.shape_c)
 
@@ -190,75 +195,60 @@ def _is_normal(x):
     return (x >= np.finfo(float).tiny) & (x < math.inf)
 
 
-def _illinois(h, a, z, h_a, h_z) -> np.ndarray:
-    """Shrink every bracket [a_i, z_i] with h(a_i) <= 0 <= h(z_i) onto a root of h.
+def _newton_roots(h, u, lo, hi) -> np.ndarray:
+    """Per row, the root of an increasing h by safeguarded Newton steps from u.
 
-    ``h`` maps an array of one point per row to that row's value.  Each step
-    is an Illinois (regula falsi) step; a row stops once its bracket is at
-    most ``_ROOT_TOL`` wide, so its root does not depend on the other rows.
-    Returns the bracket midpoints; rows not bracketed (or with h(z) not
-    finite) get NaN.
+    ``h`` maps one point per row to each row's value and derivative.  A row
+    keeps its bracket [lo, hi] (ends may be infinite) from the signs of its
+    own iterates: h <= 0 raises lo, h >= 0 lowers hi.  A Newton step that
+    leaves it is replaced by its midpoint, or by ln 2 toward an end still
+    infinite.  A row stops once its step is at most ``_ROOT_TOL``, apart from
+    the other rows.  Rows with a NaN end, a value not finite, or no stop in
+    ``_ROOT_MAX_STEPS`` steps get NaN.
     """
+    root = np.full(np.shape(u), np.nan)
+    active = np.isfinite(u) & ~np.isnan(lo) & ~np.isnan(hi)
     with np.errstate(all="ignore"):
-        # h_a may be -inf, which the first step's midpoint fallback handles
-        ok = (h_a <= 0) & (h_z >= 0) & np.isfinite(h_z)
-        moved = np.zeros(np.shape(a))  # -1 if a moved last, +1 if z did
-        active = ok & (z - a > _ROOT_TOL)
-        while np.any(active):
-            u = (a * h_z - z * h_a) / (h_z - h_a)
-            # a step at least a fraction of the tolerance inside the bracket,
-            # so an end that already sits on the root ends the solve
-            u = np.clip(np.where(np.isfinite(u), u, 0.5 * (a + z)), a + _ROOT_STEP, z - _ROOT_STEP)
-            h_u = h(u)
-            up = h_u >= 0
-            # Illinois: when the same end moves twice running, halve the
-            # value kept at the other end so the next step crosses the root
-            h_a_next = np.where(up, np.where(moved > 0, 0.5 * h_a, h_a), h_u)
-            h_z_next = np.where(up, h_u, np.where(moved < 0, 0.5 * h_z, h_z))
-            a = np.where(active & (h_u <= 0), u, a)
-            z = np.where(active & up, u, z)
-            h_a, h_z = np.where(active, h_a_next, h_a), np.where(active, h_z_next, h_z)
-            moved = np.where(active, np.where(up, 1.0, -1.0), moved)
-            active &= z - a > _ROOT_TOL
-    return np.where(ok, 0.5 * (a + z), np.nan)
+        for _ in range(_ROOT_MAX_STEPS):
+            v, dv = h(u)
+            active &= np.isfinite(v)
+            lo, hi = np.where(v <= 0, u, lo), np.where(v >= 0, u, hi)
+            step = u - v / dv
+            inside = (lo <= step) & (step <= hi) & (np.abs(step) < np.inf)
+            if not inside.all():
+                mid = 0.5 * (lo + hi)  # +-inf while one end is open
+                mid = np.where(np.isfinite(mid), mid, u + np.copysign(_LN2, mid))
+                step = np.where(inside, step, mid)
+            done = active & (np.abs(step - u) <= _ROOT_TOL)
+            np.copyto(root, step, where=done)
+            active ^= done
+            if not active.any():
+                break
+            u = step  # rows that stopped or failed keep their root
+    return root
 
 
 def _law_roots(law: _Law, log_a, with_slope: bool) -> np.ndarray:
     """Per row, the u = log t where log_a + log chi (+ log slope) crosses zero.
 
     Without the slope the root solves A chi(t) = 1; with it, A t chi'(t) = 1.
-    Both increase in u (for ``DDProfile`` the second only up to n = 3 + 2 sqrt 2).
-    Each bracket starts at [1/2, 5/2] times the larger of the two limits'
-    roots and is moved by halving or doubling t until it holds the root,
-    then ``_illinois`` shrinks it.  Rows never bracketed get NaN.
+    Both increase in u (for ``DDProfile`` the second only up to n = 3 + 2 sqrt 2),
+    with derivative slope or d log(t chi') / d log t.  ``_newton_roots`` starts
+    at the larger of the two limits' roots, with the bracket open on both sides.
     """
-    p = 1.0 if with_slope else 0.0
 
     def h(u):
-        log_chi, slope = law.log_chi(u)
-        return log_a + log_chi + p * np.log(slope)
+        log_chi, slope, bend = law.log_chi(u)
+        return (log_a + log_chi + np.log(slope), bend) if with_slope else (log_a + log_chi, slope)
 
     with np.errstate(all="ignore"):
         # the roots of the short-time (slope n) and long-time (slope 1) limits
-        log_short = 2.0 * (law.log_b + law.log_tau_c) - math.log(law.c) + p * math.log(law.n)
+        log_short = (2.0 * (law.log_b + law.log_tau_c) - math.log(law.c)
+                     + with_slope * math.log(law.n))
         u_short = law.log_tau_c - (log_a + log_short) / law.n
         u_long = -(log_a + 2.0 * law.log_b + law.log_tau_c)
         u0 = np.maximum(u_short, u_long)
-        a, z = u0 + math.log(0.5), u0 + math.log(2.5)
-        h_a, h_z = h(a), h(z)
-        move = (h_a > 0) & np.isfinite(h_a)
-        while np.any(move):  # root below a: the old a bounds it from above
-            z, h_z = np.where(move, a, z), np.where(move, h_a, h_z)
-            a = np.where(move, a - _LN2, a)
-            h_a = np.where(move, h(a), h_a)
-            move &= (h_a > 0) & np.isfinite(h_a)
-        move = (h_z < 0) & np.isfinite(z)
-        while np.any(move):  # root above z: the old z bounds it from below
-            a, h_a = np.where(move, z, a), np.where(move, h_z, h_a)
-            z = np.where(move, z + _LN2, z)
-            h_z = np.where(move, h(z), h_z)
-            move &= h_z < 0
-        return _illinois(h, a, z, h_a, h_z)
+    return _newton_roots(h, u0, -np.inf, np.inf)
 
 
 def _t2(law: _Law, s: SpinQuantumNumber, what: str) -> float:

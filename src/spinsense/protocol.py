@@ -9,10 +9,11 @@ state, and evaluates the same pipeline under pulsed-control coherence
 profiles.
 
 Every optimum over tau is a root in u = log tau, solved for all rows at
-once by the bracketed Illinois solver of ``ou_noise``: for the GHZ curve on
-the coherence law's log form, so nothing overflows where the answer is
-finite; for the spin-1 curve, which need not be unimodal, inside the
-bracket of a log-grid scan.  A ``yield_rate`` call is the one-row case.
+once by the safeguarded Newton solver of ``ou_noise`` on closed-form
+derivatives: for the GHZ curve on the coherence law's log form, so nothing
+overflows where the answer is finite; for the spin-1 curve, which need not
+be unimodal, inside the bracket of a log-grid scan.  A ``yield_rate`` call
+is the one-row case.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .ou_noise import (
     RegimeKind,
     _dd_law,
     _free_law,
-    _illinois,
     _is_normal,
     _Law,
     _law_roots,
+    _newton_roots,
     classify,
     t2,
 )
@@ -369,13 +370,14 @@ def _spin1_rates(noise: OUNoise):
     log form of the free law (``_free_law``), so neither b^2 tau_c^2 nor
     tau/tau_c is formed and chi is finite wherever log chi is.  In ``rates``
     a row's best scan point and its two neighbours bracket the root of
-    d log(F/tau)/d log tau = 1 - 2 tau chi' (1 + D P'/P - D Q'/Q), solved
-    by ``_illinois``; one ``log_chi`` call per step gives chi and its slope,
-    and tau chi' = chi slope.  The rate there is F/tau in the Horner form of
-    ``qfi``, which the oracle suite checks, again without tau^2, so it does
-    not overflow where F does.  A row with no sign change keeps its scan
-    point, no row depends on the others, and a rate that is not finite
-    raises FloatingPointError.
+    d log(F/tau)/d log tau = 1 - 2 tau chi' L, L = d log(D P/Q)/d log D,
+    which ``_newton_roots`` solves from the scan point.  One ``log_chi`` call
+    per step gives chi, its slope s and g = d log(tau chi')/d log tau, so
+    tau chi' = chi s and the derivative is 2 chi s (g L - 2 chi s dL/d log D).
+    The rate there is F/tau in the Horner form of ``qfi``, which the oracle
+    suite checks, again without tau^2, so it does not overflow where F does.
+    A row with no sign change keeps its scan point, no row depends on the
+    others, and a rate that is not finite raises FloatingPointError.
     """
     t2_val = t2(SpinQuantumNumber(2), noise)
     tau_grid = np.logspace(np.log10(t2_val * config.SPIN1_TAU_LO),
@@ -392,13 +394,17 @@ def _spin1_rates(noise: OUNoise):
         i, at_i = scan(p, q)
 
         def h(u):  # -d log(F/tau)/d log tau at tau = e^u, with tau chi' = chi slope
-            log_chi, slope = law.log_chi(u)
+            log_chi, slope, bend = law.log_chi(u)
             c = np.exp(log_chi)
-            return 2.0 * c * slope * _spin1_log_slope(p, q, np.exp(-2.0 * c)) - 1.0
+            log_slope, curve = _spin1_log_slope(p, q, np.exp(-2.0 * c))
+            rise = 2.0 * c * slope  # 2 tau chi'
+            return rise * log_slope - 1.0, rise * (bend * log_slope - rise * curve)
 
         with np.errstate(all="ignore"):
             a, z = log_grid[np.maximum(i - 1, 0)], log_grid[np.minimum(i + 1, last)]
-            u = _illinois(h, a, z, h(a), h(z))
+            h_a, h_z = h(np.stack([a, z]))[0]
+            ok = (h_a <= 0) & (h_z >= 0) & np.isfinite(h_z)
+            u = _newton_roots(h, log_grid[i], np.where(ok, a, np.nan), np.where(ok, z, np.nan))
             d = np.exp(-2.0 * np.exp(law.log_chi(u)[0]))
             root = _spin1_from_coefficients(p, q, d, np.exp(u))
         bracketed = np.isfinite(u)

@@ -92,16 +92,18 @@ def _spin1_from_coefficients(p, q, d, scale):
 
 
 def _spin1_log_slope(p, q, d):
-    """d log(D p(D)/q(D)) / d log D = 1 + D p'/p - D q'/q, by Horner's rule."""
-    num, dnum = p[6], 0.0
-    for c in p[5::-1]:
-        dnum = dnum * d + num
-        num = num * d + c
-    den, dden = q[3], 0.0
-    for c in q[2::-1]:
-        dden = dden * d + den
-        den = den * d + c
-    return 1.0 + d * (dnum / num - dden / den)
+    """L = d log(D p(D)/q(D)) / d log D = 1 + D p'/p - D q'/q and dL / d log D, by
+    Horner's rule on each polynomial f and its derivatives: with a = D f'/f,
+    d log f / d log D = a and da / d log D = a + D^2 f''/f - a^2."""
+    out = []
+    for f in (p, q):
+        val, d1, d2 = f[-1], 0.0, 0.0  # f, f' and f''/2
+        for c in f[-2::-1]:
+            val, d1, d2 = val * d + c, d1 * d + val, d2 * d + d1
+        a = d * d1 / val
+        out.append((a, a + 2.0 * d * d * d2 / val - a * a))
+    (a_p, m_p), (a_q, m_q) = out
+    return 1.0 + a_p - a_q, m_p - m_q
 
 
 def spin1_qfi_values(theta, phi, chi_value, tau) -> np.ndarray:

@@ -156,6 +156,16 @@ class TestQfiCurve:
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
 
+    def test_tau_max_at_the_largest_double(self, tmp_path):
+        out = str(tmp_path / "max_tau.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1",
+                        "--tau-max", "1.7976931348623157e308", "--out", out])
+        assert code == 0
+        taus = np.array(read_csv(out)[1], dtype=float)[:, 0]
+        assert taus[-1] == sys.float_info.max and np.all(np.diff(taus) > 0)
+
 
 class TestSweepCommand:
     def test_schema_and_summary(self, tmp_path):
@@ -256,6 +266,21 @@ class TestSweepCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "spin must be finite, with 2S finite" in lines[0]
         assert not os.listdir(tmp_path)
+
+    def test_grid_up_to_the_largest_double(self, tmp_path):
+        # 10**log10(--max) rounds past the largest double; that point is --max itself
+        out = str(tmp_path / "max_b.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["sweep", "--param", "b", "--min", "1", "--max", "1.7976931348623157e308",
+                        "--points", "8", "--s", "1", "--tau-c", "1", "--out", out])
+        assert code == 0
+        rows = read_csv(out)[1]
+        assert float(rows[-1][0]) == sys.float_info.max and rows[-1][5] == "failed"
+        assert [row[5] for row in rows[:-1]] == ["ok"] * 7
+        with np.errstate(over="ignore"):  # the other points are the plain log grid's
+            grid = np.logspace(0.0, math.log10(sys.float_info.max), 8)
+        np.testing.assert_array_equal(np.array([row[0] for row in rows[:-1]], dtype=float), grid[:-1])
 
     def test_subnormal_optimum_is_a_failed_row(self, tmp_path):
         # row 0, 2S = 2e15 at b = 1e308: tau_opt = 1/(sqrt(2) 2S b) is subnormal

@@ -114,7 +114,7 @@ class TestChi:
         below, above = _LOG_CHI_SERIES_BELOW * (1 - 1e-9), _LOG_CHI_SERIES_BELOW * (1 + 1e-9)
         u = np.log([0.0105, 0.0295, 0.0299, below, above])
         assert np.exp(u[3]) < _LOG_CHI_SERIES_BELOW <= np.exp(u[4])  # one row on each branch
-        log_chi, slope = _free_law(1.0, 1.0).log_chi(u)
+        log_chi, slope, _ = _free_law(1.0, 1.0).log_chi(u)
         for v, got, got_slope in zip(u, log_chi, slope):
             x = mp.exp(mp.mpf(v))
             with mp.workdps(60):
@@ -226,8 +226,8 @@ class TestT2:
 
 
 def _free_log_chi_both_branches(b, tau_c, u):
-    """The free law's log chi and slope with the series and the direct branch
-    evaluated on every row and joined per row by np.where."""
+    """The free law's log chi, slope and d log(t chi') / d log t with the series
+    and the direct branch evaluated on every row and joined per row by np.where."""
     log_b, log_tau_c = np.log(b), np.log(tau_c)
     lx = u - log_tau_c
     x = np.exp(lx)
@@ -238,7 +238,9 @@ def _free_log_chi_both_branches(b, tau_c, u):
     log_core = np.where(small, 2.0 * lx + np.log(head),
                         np.where(x < np.inf, np.log(safe - rise), lx))
     slope = np.where(small, 1.0 / head - xs, rise / (1.0 - rise / safe))
-    return 2.0 * (log_b + log_tau_c) + log_core, slope
+    bend = np.where(small, 2.0 - xs * (0.5 - xs * (1 / 12 - xs * xs * (1 / 720 - xs * xs / 30240))),
+                    1.0 + np.where(safe < np.inf, safe, 0.0) * (1.0 - rise) / rise)
+    return 2.0 * (log_b + log_tau_c) + log_core, slope, bend
 
 
 # log(t/tau_c) for rows on the series (x < 0.03), on the direct branch, and
@@ -271,7 +273,7 @@ class TestLogLaws:
     @pytest.mark.parametrize("b,tau_c", [(1.0, 1.0), (1e200, 1e-150), (1e-150, 1e150)])
     def test_free_evolution(self, b, tau_c):
         u = np.log(tau_c) + np.log(np.logspace(-300, 300, 61))
-        log_chi, slope = _free_law(b, tau_c).log_chi(u)
+        log_chi, slope, _ = _free_law(b, tau_c).log_chi(u)
         for v, got, got_slope in zip(u, log_chi, slope):
             x = mp.exp(mp.mpf(v)) / tau_c
             # x + expm1(-x) cancels 2 |log10 x| digits where x is small
@@ -295,6 +297,7 @@ class TestLogLaws:
         with np.errstate(all="ignore"):
             got = _free_law(b, tau_c).log_chi(u)
             ref = _free_log_chi_both_branches(b, tau_c, u)
+        assert len(got) == len(ref) == 3
         for g, r in zip(got, ref):
             assert np.shape(g) == np.shape(r)
             assert np.all(g == r)
@@ -303,7 +306,7 @@ class TestLogLaws:
     def test_pulsed_control(self, n):
         noise, profile = OUNoise(1e100, 1e-120), DDProfile(n)
         u = np.log(noise.tau_c) + np.log(np.logspace(-200, 200, 41))
-        log_chi, slope = _dd_law(noise, profile).log_chi(u)
+        log_chi, slope, _ = _dd_law(noise, profile).log_chi(u)
         for v, got, got_slope in zip(u, log_chi, slope):
             x = mp.exp(mp.mpf(v)) / noise.tau_c
             w = x ** (n - 1)

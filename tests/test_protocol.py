@@ -1,5 +1,8 @@
 import math
+import runpy
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -30,60 +33,161 @@ from spinsense import (
     yield_rate_asymptotic,
 )
 from spinsense import config, protocol
-from spinsense.ou_noise import _dd_law, _free_law, _illinois, _Law, _law_roots
-from spinsense.qfi import _spin1_coefficients, _spin1_from_coefficients
+from spinsense.cli import main as cli_main
+from spinsense.ou_noise import _dd_law, _free_law, _Law, _law_roots, _newton_roots
+from spinsense.qfi import _spin1_coefficients, _spin1_from_coefficients, _spin1_log_slope
 from spinsense.spin_ops import _spin1_amplitudes
+from spinsense.validate import dd_suite
 
 SQRT_2_OVER_E = math.sqrt(2.0 / math.e)
 
 
-def _solve(h, a, z):
-    a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
-    return _illinois(h, a, z, h(a), h(z))
+def _solve(h, u, lo, hi):
+    return _newton_roots(h, np.asarray(u, dtype=float), lo, hi)
 
 
 class TestIllinoisRoots:
+    """The one root solver, ``_newton_roots`` (the class keeps its earlier name)."""
+
     def test_smooth_maximum(self):
         # the maximum of 5 - (x - 2)^2 is the root of its negated derivative,
-        # found to the solver's bracket width, not to sqrt(eps) as by comparing values
-        x = _solve(lambda x: 2.0 * (x - 2.0), [0.5], [4.0])
+        # found to the solver's step tolerance, not to sqrt(eps) as by comparing values
+        x = _solve(lambda x: (2.0 * (x - 2.0), np.full_like(x, 2.0)), [0.5], [0.5], [4.0])
         assert x[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_several_rows_in_one_call(self):
         # row 0: linear; row 1: cubic with a flat root; row 2: exponential;
         # row 3: the root sits on the bracket's lower end
         root = np.array([2.0, -1.0, 0.3, 1.0])
+        fns = [lambda x: (x - 2.0, np.ones_like(x)),
+               lambda x: ((x + 1.0) ** 3, 3.0 * (x + 1.0) ** 2),
+               lambda x: (np.expm1(5.0 * (x - 0.3)), 5.0 * np.exp(5.0 * (x - 0.3))),
+               lambda x: (x - 1.0, np.ones_like(x))]
 
         def rows(x):
-            return np.array([x[0] - 2.0, (x[1] + 1.0) ** 3, np.expm1(5.0 * (x[2] - 0.3)), x[3] - 1.0])
+            values = [fn(x[i : i + 1]) for i, fn in enumerate(fns)]
+            return tuple(np.concatenate(parts) for parts in zip(*values))
 
         a, z = np.array([0.5, -3.0, -2.0, 1.0]), np.array([4.0, 0.5, 2.0, 3.0])
-        x = _solve(rows, a, z)
+        x = _solve(rows, 0.5 * (a + z), a, z)
         np.testing.assert_allclose(x, root, atol=1e-6)
         assert abs(x[0] - 2.0) <= 1e-12 and abs(x[2] - 0.3) <= 1e-12 and abs(x[3] - 1.0) <= 1e-12
-        # each row stops on its own bracket width, independent of the others
-        fns = [lambda x: x - 2.0, lambda x: (x + 1.0) ** 3,
-               lambda x: np.expm1(5.0 * (x - 0.3)), lambda x: x - 1.0]
+        # each row stops on its own step, independent of the others
         for i, fn in enumerate(fns):
-            assert _solve(fn, a[i : i + 1], z[i : i + 1])[0] == x[i]
+            assert _solve(fn, 0.5 * (a[i : i + 1] + z[i : i + 1]), a[i : i + 1], z[i : i + 1])[0] == x[i]
 
     def test_non_finite_rows_return_nan(self):
-        # row 0 is bracketed; row 1's function is NaN; row 2 holds no sign
-        # change; row 3's upper end is infinite
+        # row 0 is bracketed; row 1's function is NaN; row 2's bracket is NaN,
+        # as a caller's failed sign check leaves it; row 3's function is
+        # infinite; row 4's has no root, so its steps never stop
         def h(x):
-            return np.array([x[0] - 1.0, np.nan, x[2] + 5.0, np.inf if x[3] > 1 else x[3]])
+            return (np.array([x[0] - 1.0, np.nan, x[2] - 1.0, np.inf, 1.0 + x[4] ** 2]),
+                    np.array([1.0, np.nan, 1.0, np.inf, 2.0 * x[4]]))
 
-        x = _solve(h, [0.0, 0.0, 0.0, -1.0], [2.0, 2.0, 2.0, 2.0])
+        lo = np.array([0.0, 0.0, np.nan, -np.inf, -np.inf])
+        x = _solve(h, [0.5, 0.5, 0.5, 0.5, 0.0], lo, [2.0, 2.0, np.nan, np.inf, np.inf])
         assert x[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.isnan(x[1:]))
 
     def test_bracket_moves_to_a_far_root(self):
-        # the seed from the law's limits sits at u = 0; the bracket follows
+        # the seed from the law's limits sits at u = 0; the solve follows
         # the root 50 e-folds down or up instead of stopping at a window edge
         for root in (-50.0, 50.0):
-            law = _Law(lambda u, r=root: (u - r, np.ones_like(u)), 0.0, 0.0, n=1.0, c=1.0)
+            law = _Law(lambda u, r=root: (u - r, np.ones_like(u), np.ones_like(u)),
+                       0.0, 0.0, n=1.0, c=1.0)
             u = _law_roots(law, np.zeros(1), with_slope=False)
             assert u[0] == pytest.approx(root, abs=1e-12)
+
+
+class TestRootDerivatives:
+    """The derivative each root solve hands to Newton, against 40-digit mpmath.diff."""
+
+    X = np.logspace(-8, 8, 33)  # x = t/tau_c
+
+    def test_free_evolution(self):
+        # T2 root: log chi, derivative slope; GHZ root: log(t chi'), derivative bend
+        _, slope, bend = _free_law(1.0, 1.0).log_chi(np.log(self.X))
+        with mp.workdps(80):  # x + expm1(-x) cancels 16 digits at x = 1e-8
+            for x, got_slope, got_bend in zip(self.X, slope, bend):
+                u = mp.log(mp.mpf(x))
+                ref_slope = mp.diff(lambda v: mp.log(mp.exp(v) + mp.expm1(-mp.exp(v))), u)
+                ref_bend = mp.diff(lambda v: v + mp.log(-mp.expm1(-mp.exp(v))), u)
+                assert got_slope == pytest.approx(float(ref_slope), rel=1e-13)
+                assert got_bend == pytest.approx(float(ref_bend), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, 3.0, 4.0, 5.8])
+    def test_pulsed_control(self, n):
+        c = config.DD_SHAPE_CONSTANT
+        _, slope, bend = _dd_law(OUNoise(1.0, 1.0), DDProfile(n)).log_chi(np.log(self.X))
+        with mp.workdps(40):
+            def log_chi(v):
+                return n * v - mp.log(c + mp.exp((n - 1) * v))
+
+            for x, got_slope, got_bend in zip(self.X, slope, bend):
+                u = mp.log(mp.mpf(x))
+                ref_slope = mp.diff(log_chi, u)
+                ref_bend = mp.diff(lambda v: log_chi(v) + mp.log(mp.diff(log_chi, v)), u)
+                assert got_slope == pytest.approx(float(ref_slope), rel=1e-13)
+                assert got_bend == pytest.approx(float(ref_bend), rel=1e-13)
+
+    @pytest.mark.parametrize("tau_c", [1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("theta, phi", [(np.pi / 4, np.pi / 2), (0.3, 1.2), (1.1, 0.4),
+                                            (0.02, 1.5), (1.5, 0.05), (0.9, 0.7)])
+    def test_spin1(self, tau_c, theta, phi):
+        # h = 2 tau chi' L(D) - 1 with D = exp(-2 chi) and L = d log(D P/Q)/d log D;
+        # h' = 2 chi s (g L - 2 chi s M), s the slope, g the bend, M = dL/d log D
+        u = np.log(self.X * tau_c)
+        log_chi, slope, bend = _free_law(1.0, tau_c).log_chi(u)
+        p, q = _spin1_coefficients(theta, phi)
+        chi_s = np.exp(log_chi) * slope
+        log_slope, curve = _spin1_log_slope(p, q, np.exp(-2.0 * np.exp(log_chi)))
+        got = 2.0 * chi_s * (bend * log_slope - 2.0 * chi_s * curve)
+        # the two terms can cancel; the error is relative to their magnitudes
+        scale = 2.0 * chi_s * (np.abs(bend * log_slope) + np.abs(2.0 * chi_s * curve))
+        pm, qm = [mp.mpf(float(a)) for a in p], [mp.mpf(float(a)) for a in q]
+
+        def h(v):
+            x = mp.exp(v) / tau_c
+            d = mp.exp(-2 * tau_c**2 * (x + mp.expm1(-x)))
+            dp = sum(k * a * d**k for k, a in enumerate(pm)) / mp.polyval(pm[::-1], d)
+            dq = sum(k * a * d**k for k, a in enumerate(qm)) / mp.polyval(qm[::-1], d)
+            return 2 * tau_c**2 * x * -mp.expm1(-x) * (1 + dp - dq) - 1
+
+        with mp.workdps(80):
+            for v, g, sc in zip(u, got, scale):
+                assert abs(g - float(mp.diff(h, mp.mpf(v)))) <= 1e-13 * sc
+
+
+class TestNewtonEvaluations:
+    """Newton from the limits' root needs few evaluations of the law per batched GHZ solve."""
+
+    def test_at_most_six_per_batched_ghz_solve(self, tmp_path, monkeypatch):
+        counts = []
+
+        def counting_roots(law, log_a, with_slope):
+            counts.append(0)
+
+            def log_chi(u):
+                counts[-1] += 1
+                return law.log_chi(u)
+
+            return _law_roots(replace(law, log_chi=log_chi), log_a, with_slope)
+
+        monkeypatch.setattr(protocol, "_law_roots", counting_roots)
+        jobs = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "make_datasets.py"))["JOBS"]
+        sweeps = [job for job in jobs if job[0] == "sweep"]
+        # and the two float-range sweeps of the CI smoke job
+        sweeps += [["sweep", "--param", p, "--min", "1e-200", "--max", "1e200", "--points", "16",
+                    "--s", "0.5", fixed, "1", "--out", f"wide_{p}.csv"]
+                   for p, fixed in (("b", "--tau-c"), ("tau-c", "--b"))]
+        for job in sweeps:
+            args = list(job)
+            args[args.index("--out") + 1] = str(tmp_path / args[args.index("--out") + 1])
+            assert cli_main(args) == 0
+        dd_suite()
+        # 5 sweeps and dd_suite's 4 pulsed-control sweeps; the Illinois solver needed 11
+        assert len(counts) == 9
+        assert max(counts) <= 6
 
 
 class TestGhzStationarity:
@@ -93,18 +197,18 @@ class TestGhzStationarity:
 
     @pytest.mark.parametrize("m", np.logspace(-6, 6, 13))
     def test_free_evolution(self, m):
-        log_chi, slope = _free_law(1.0, m).log_chi(self.U)
+        log_chi, slope, _ = _free_law(1.0, m).log_chi(self.U)
         assert np.all(np.diff(log_chi + np.log(slope)) > 0)
 
     @pytest.mark.parametrize("n", [1.0, 2.0, 3.0, 4.0, 5.8])
     @pytest.mark.parametrize("c", [0.1, 2.0, 50.0])
     def test_pulsed_control(self, n, c):
-        log_chi, slope = _dd_law(OUNoise(1.0, 1.0), DDProfile(n, c)).log_chi(self.U)
+        log_chi, slope, _ = _dd_law(OUNoise(1.0, 1.0), DDProfile(n, c)).log_chi(self.U)
         assert np.all(np.diff(log_chi + np.log(slope)) > 0)
 
     def test_pulsed_control_beyond_the_bound(self):
         # at n = 6 the function turns over, so its root need not be the optimum
-        log_chi, slope = _dd_law(OUNoise(1.0, 1.0), DDProfile(6.0)).log_chi(self.U)
+        log_chi, slope, _ = _dd_law(OUNoise(1.0, 1.0), DDProfile(6.0)).log_chi(self.U)
         assert np.any(np.diff(log_chi + np.log(slope)) < 0)
         with pytest.raises(ValueError, match="3 \\+ 2 sqrt"):
             dd_scaling(DDProfile(6.0), np.logspace(0, 1, 8), OUNoise(1.0, 100.0))
