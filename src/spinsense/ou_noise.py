@@ -89,7 +89,7 @@ class _Law:
     product that leaves the float range where log chi is in it.  chi runs from
     b^2 tau_c^2 x^n / c at x = t/tau_c << 1 to b^2 tau_c t at x >> 1."""
 
-    log_chi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    log_chi: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     log_b: np.ndarray
     log_tau_c: np.ndarray
     n: float = 2.0
@@ -234,7 +234,7 @@ def _law_roots(law: _Law, log_a, with_slope: bool) -> np.ndarray:
     Without the slope the root solves A chi(t) = 1; with it, A t chi'(t) = 1.
     Both increase in u (for ``DDProfile`` the second only up to n = 3 + 2 sqrt 2),
     with derivative slope or d log(t chi') / d log t.  ``_newton_roots`` starts
-    at the larger of the two limits' roots, with the bracket open on both sides.
+    at sqrt(t_short^2 + t_long^2) of the two limits' roots, with an open bracket.
     """
 
     def h(u):
@@ -247,7 +247,7 @@ def _law_roots(law: _Law, log_a, with_slope: bool) -> np.ndarray:
                      + with_slope * math.log(law.n))
         u_short = law.log_tau_c - (log_a + log_short) / law.n
         u_long = -(log_a + 2.0 * law.log_b + law.log_tau_c)
-        u0 = np.maximum(u_short, u_long)
+        u0 = 0.5 * np.logaddexp(2.0 * u_short, 2.0 * u_long)
     return _newton_roots(h, u0, -np.inf, np.inf)
 
 

@@ -74,7 +74,8 @@ class TestIllinoisRoots:
         assert abs(x[0] - 2.0) <= 1e-12 and abs(x[2] - 0.3) <= 1e-12 and abs(x[3] - 1.0) <= 1e-12
         # each row stops on its own step, independent of the others
         for i, fn in enumerate(fns):
-            assert _solve(fn, 0.5 * (a[i : i + 1] + z[i : i + 1]), a[i : i + 1], z[i : i + 1])[0] == x[i]
+            lo, hi = a[i : i + 1], z[i : i + 1]
+            assert _solve(fn, 0.5 * (lo + hi), lo, hi)[0] == x[i]
 
     def test_non_finite_rows_return_nan(self):
         # row 0 is bracketed; row 1's function is NaN; row 2's bracket is NaN,
