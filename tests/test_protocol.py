@@ -186,7 +186,7 @@ class TestNewtonEvaluations:
             args[args.index("--out") + 1] = str(tmp_path / args[args.index("--out") + 1])
             assert cli_main(args) == 0
         dd_suite()
-        # 5 sweeps and dd_suite's 4 pulsed-control sweeps; the Illinois solver needed 11
+        # 5 sweeps and dd_suite's 4 pulsed-control sweeps; the bracketed Illinois solver took 10
         assert len(counts) == 9
         assert max(counts) <= 6
 
