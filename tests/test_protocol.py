@@ -101,7 +101,7 @@ class TestIllinoisRoots:
 
 
 class TestRootDerivatives:
-    """The derivative each root solve hands to Newton, against 40-digit mpmath.diff."""
+    """The derivative each root solve hands to Newton, against mpmath.diff at 40 digits or more."""
 
     X = np.logspace(-8, 8, 33)  # x = t/tau_c
 
