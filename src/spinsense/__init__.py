@@ -17,7 +17,6 @@ from .ou_noise import (
     DDProfile,
     McCoherence,
     OUNoise,
-    RegimeKind,
     chi,
     classify,
     dd_chi,
@@ -35,7 +34,6 @@ from .protocol import (
     optimize_initial_state_spin1,
     sweep,
     yield_rate,
-    yield_rate_asymptotic,
 )
 from .qfi import (
     drho_domega,
@@ -55,7 +53,6 @@ __all__ = [
     "ExponentFit",
     "McCoherence",
     "OUNoise",
-    "RegimeKind",
     "SpinQuantumNumber",
     "StateOptResult",
     "SweepTable",
@@ -80,5 +77,4 @@ __all__ = [
     "sweep",
     "t2",
     "yield_rate",
-    "yield_rate_asymptotic",
 ]

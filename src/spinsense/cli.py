@@ -187,7 +187,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     status = table.status
     out = _resolve_out(args.out, f"sweep_{param}.csv")
     _write_csv(out, header, [table.values, table.rates, table.tau_opts, table.markov_params,
-                             [regime.value for regime in table.regimes], status])
+                             table.regimes, status])
     summary = {
         "param": param,
         "fixed": fixed,

@@ -42,10 +42,6 @@ class EstimationRun:
     repetitions: int
     n_flagged: int
 
-    def __post_init__(self):
-        if self.nu < 1:
-            raise ValueError("nu must be >= 1")
-
 
 def _signal_phase(s: SpinQuantumNumber, omega: float, tau: float) -> float:
     """theta = 2S omega tau; FloatingPointError where it is not finite."""

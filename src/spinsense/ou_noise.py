@@ -20,7 +20,6 @@ worst just below the series switch at x = 0.03.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 import sys
@@ -54,12 +53,6 @@ class OUNoise:
             raise ValueError(f"b must be positive and finite, got {self.b!r}")
         if not 0 < self.tau_c < math.inf:
             raise ValueError(f"tau_c must be positive and finite, got {self.tau_c!r}")
-
-
-class RegimeKind(enum.Enum):
-    MARKOVIAN = "markovian"
-    INTERMEDIATE = "intermediate"
-    QUASI_STATIC = "quasi_static"
 
 
 @dataclass(frozen=True)
@@ -273,17 +266,18 @@ def dd_t2(s: SpinQuantumNumber, noise: OUNoise, profile: DDProfile) -> float:
                f"pulsed-control T2 at 2S={s.two_s:.16g}, n={profile.n!r}")
 
 
-def classify(markov_param: float) -> RegimeKind:
+def classify(markov_param: float) -> str:
     """Regime of the memory parameter 2*S*b*tau_c, which the caller computes.
 
-    Below ``config.MARKOVIAN_BELOW`` the decay is effectively exponential,
-    above ``config.QUASI_STATIC_ABOVE`` effectively Gaussian, else intermediate.
+    Below ``config.MARKOVIAN_BELOW`` the decay is effectively exponential
+    ("markovian"), above ``config.QUASI_STATIC_ABOVE`` effectively Gaussian
+    ("quasi_static"), else "intermediate".
     """
     if markov_param < config.MARKOVIAN_BELOW:
-        return RegimeKind.MARKOVIAN
+        return "markovian"
     if markov_param > config.QUASI_STATIC_ABOVE:
-        return RegimeKind.QUASI_STATIC
-    return RegimeKind.INTERMEDIATE
+        return "quasi_static"
+    return "intermediate"
 
 
 def _check_count(name: str, value, least: int = 1) -> None:

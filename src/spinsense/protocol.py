@@ -28,7 +28,6 @@ from . import config
 from .ou_noise import (
     DDProfile,
     OUNoise,
-    RegimeKind,
     _dd_law,
     _free_law,
     _is_normal,
@@ -38,7 +37,7 @@ from .ou_noise import (
     classify,
     t2,
 )
-from .qfi import _spin1_coefficients, _spin1_from_coefficients, _spin1_log_slope
+from .qfi import _Q_VANISHES, _spin1_coefficients, _spin1_from_coefficients, _spin1_log_slope
 from .spin_ops import SpinQuantumNumber
 
 # Largest pulsed-control n for which log chi + log slope rises in log tau at
@@ -80,7 +79,7 @@ class SweepTable:
     rates: np.ndarray
     tau_opts: np.ndarray
     markov_params: np.ndarray
-    regimes: tuple[RegimeKind, ...]
+    regimes: tuple[str, ...]  # classify's label per row
     fits: dict[str, ExponentFit] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -146,23 +145,6 @@ def yield_rate(s: SpinQuantumNumber, noise: OUNoise) -> YieldResult:
         raise FloatingPointError(
             f"yield rate or tau_opt at 2S={s.two_s:.16g}, {noise!r} is not a normal double")
     return YieldResult(float(rate[0]), float(tau_opt[0]))
-
-
-def yield_rate_asymptotic(s: SpinQuantumNumber, noise: OUNoise, regime: RegimeKind) -> YieldResult:
-    """Closed-form yield rate deep in the limiting ``regime``, which picks the
-    form and is not checked against the noise (see ``classify``).
-
-    Quasi-static: R = sqrt(2/e) S/b at tau_opt = 1/(sqrt(2) 2S b).
-    Markovian:    R = 1/(2e b^2 tau_c) at tau_opt = 1/(2 (2Sb)^2 tau_c).
-    Both optima equal T2/2 in their regime; INTERMEDIATE raises ValueError.
-    """
-    if regime == RegimeKind.QUASI_STATIC:
-        return YieldResult(math.sqrt(2.0 / math.e) * s.s / noise.b,
-                           1.0 / (math.sqrt(2.0) * s.two_s * noise.b))
-    if regime == RegimeKind.MARKOVIAN:
-        return YieldResult(1.0 / (2.0 * math.e * noise.b**2 * noise.tau_c),
-                           1.0 / (2.0 * (s.two_s * noise.b) ** 2 * noise.tau_c))
-    raise ValueError(f"no closed form in regime {regime!r}")
 
 
 def fit_loglog_exponent(table: SweepTable, window: tuple[int, int]) -> ExponentFit:
@@ -349,7 +331,7 @@ def _spin1_scanner(d: np.ndarray, tau: np.ndarray, chunk_rows: int):
             f, g, vanish = num[:m], den[:m], bad[:m]
             np.matmul(p[k : k + m], vp, out=f)
             np.matmul(q[k : k + m], vq, out=g)
-            np.logical_not(np.greater(g, 1e-280, out=vanish), out=vanish)
+            np.logical_not(np.greater(g, _Q_VANISHES, out=vanish), out=vanish)
             np.copyto(g, np.inf, where=vanish)  # F/tau is then 0 where q vanishes
             np.divide(f, g, out=f)
             j = np.argmax(f, axis=1)

@@ -23,6 +23,7 @@ from .ou_noise import OUNoise, _ghz_decay
 from .spin_ops import SpinQuantumNumber, _check_density, _delta_m, dephase
 
 _DRHO_HERMITICITY_TOL = 1e-10
+_Q_VANISHES = 1e-280  # the spin-1 denominator q(D) at or below this vanishes: F is 0
 
 
 def _ghz_values(two_s, decay, t):
@@ -87,7 +88,7 @@ def _spin1_from_coefficients(p, q, d, scale):
     den = q[3]
     for c in q[2::-1]:
         den = den * d + c
-    ok = den > 1e-280
+    ok = den > _Q_VANISHES
     return np.where(ok, scale * d * num / np.where(ok, den, 1.0), 0.0)
 
 

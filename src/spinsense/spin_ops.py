@@ -30,17 +30,15 @@ def _check_norm(amps: np.ndarray) -> None:
         raise ValueError(f"state not normalized: sum |psi|^2 = {float(norm_sq[bad].flat[0])!r}")
 
 
-def _check_density(rho: np.ndarray, eigenvalues: np.ndarray | None = None) -> None:
+def _check_density(rho: np.ndarray, eigenvalues: np.ndarray) -> None:
     """Raise ValueError unless every (d, d) matrix of the stack rho is Hermitian,
     has trace 1 and no eigenvalue below EIGENVALUE_FLOOR.  ``eigenvalues``
-    (ascending) spare a second diagonalization; else eigvalsh runs last."""
+    (ascending, per matrix) are the caller's, which has diagonalized rho."""
     if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
     trace = np.asarray(np.trace(rho, axis1=-2, axis2=-1))
     if np.any(bad := (np.abs(trace.real - 1.0) > TRACE_TOL) | (np.abs(trace.imag) > TRACE_TOL)):
         raise ValueError(f"trace must be 1, got {complex(trace[bad].flat[0])!r}")
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(rho)
     if np.any(eigenvalues[..., 0] < EIGENVALUE_FLOOR):
         raise ValueError("density matrix has a negative eigenvalue")
 

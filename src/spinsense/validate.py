@@ -70,7 +70,7 @@ def _mc_row(i: int, seed: int, paths: int) -> tuple[McCoherence, float, str, int
     dt = min(tau_c / 40.0, tau / 50.0)
     est = mc_coherence(s, noise, tau, paths, dt, seed + i)
     target = math.exp(-_ghz_decay(s.two_s, noise, tau))
-    return est, target, classify(s.two_s * b * tau_c).value, _mc_steps(tau, dt)
+    return est, target, classify(s.two_s * b * tau_c), _mc_steps(tau, dt)
 
 
 def mc_suite(seed: int) -> tuple[list[CheckResult], dict]:

@@ -9,8 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinsense import (
-    OUNoise, RegimeKind, SpinQuantumNumber, cli, config, validate, yield_rate_asymptotic)
+from spinsense import cli, config, validate
 from spinsense.protocol import _STATE_GRID_POINTS
 from spinsense.validate import CheckResult
 
@@ -377,11 +376,13 @@ class TestOptimizeStateCommand:
         assert row[1] == pytest.approx(1 / (2 * math.e * 1e-300), rel=1e-9)
         assert row[2] / row[1] == pytest.approx(1.5313, rel=1e-4)
 
-    @pytest.mark.parametrize("b, tau_c, regime, gain", [
-        ("1e300", "1", RegimeKind.QUASI_STATIC, 1.0),  # b^2 tau_c^2 overflows
-        ("1", "1e-300", RegimeKind.MARKOVIAN, 1.5313),  # tau/tau_c overflows
+    @pytest.mark.parametrize("b, tau_c, expected, gain", [
+        # b^2 tau_c^2 overflows; the quasi-static rate sqrt(2/e) S/b at S = 1
+        pytest.param("1e300", "1", math.sqrt(2.0 / math.e) / 1e300, 1.0, id="1e300-1-quasi_static"),
+        # tau/tau_c overflows; the Markovian rate 1/(2e b^2 tau_c)
+        pytest.param("1", "1e-300", 1.0 / (2.0 * math.e * 1e-300), 1.5313, id="1-1e-300-markovian"),
     ])
-    def test_rates_where_the_linear_chi_overflows(self, tmp_path, capsys, b, tau_c, regime, gain):
+    def test_rates_where_the_linear_chi_overflows(self, tmp_path, capsys, b, tau_c, expected, gain):
         # chi on the spin-1 scan comes from its log form, so these rates are
         # finite and deep in their regime: r_ghz is the asymptotic GHZ rate
         out = str(tmp_path / "edge.csv")
@@ -392,8 +393,6 @@ class TestOptimizeStateCommand:
         assert code == 0
         assert capsys.readouterr().err == ""
         row = [float(v) for v in read_csv(out)[1][0]]
-        noise = OUNoise(float(b), float(tau_c))
-        expected = yield_rate_asymptotic(SpinQuantumNumber(2), noise, regime).rate
         assert row[1] == pytest.approx(expected, rel=1e-9)
         assert row[2] / row[1] == pytest.approx(gain, rel=1e-4)
 

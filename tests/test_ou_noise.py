@@ -14,7 +14,6 @@ from scipy.signal import lfilter
 from spinsense import (
     DDProfile,
     OUNoise,
-    RegimeKind,
     SpinQuantumNumber,
     chi,
     classify,
@@ -322,18 +321,18 @@ class TestClassify:
     """classify bins the memory parameter 2S b tau_c that its caller computes."""
 
     def test_markovian(self):
-        assert classify(1 * 1.0 * 1e-3) is RegimeKind.MARKOVIAN
-        assert classify(math.nextafter(config.MARKOVIAN_BELOW, 0.0)) is RegimeKind.MARKOVIAN
+        assert classify(1 * 1.0 * 1e-3) == "markovian"
+        assert classify(math.nextafter(config.MARKOVIAN_BELOW, 0.0)) == "markovian"
 
     def test_quasi_static(self):
-        assert classify(1 * 1.0 * 100.0) is RegimeKind.QUASI_STATIC
-        assert classify(math.nextafter(config.QUASI_STATIC_ABOVE, math.inf)) is RegimeKind.QUASI_STATIC
+        assert classify(1 * 1.0 * 100.0) == "quasi_static"
+        assert classify(math.nextafter(config.QUASI_STATIC_ABOVE, math.inf)) == "quasi_static"
 
     def test_intermediate_large_spin(self):
         # 2S = 1000 lifts tau_c = 1e-3 out of the Markovian bin
-        assert classify(SpinQuantumNumber(1000).two_s * 1.0 * 1e-3) is RegimeKind.INTERMEDIATE
+        assert classify(SpinQuantumNumber(1000).two_s * 1.0 * 1e-3) == "intermediate"
         for edge in (config.MARKOVIAN_BELOW, config.QUASI_STATIC_ABOVE):
-            assert classify(edge) is RegimeKind.INTERMEDIATE
+            assert classify(edge) == "intermediate"
 
 
 def sample_ou_paths(noise, dt, steps, n_paths, seed):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from spinsense import (
     DDProfile,
     OUNoise,
-    RegimeKind,
     SpinQuantumNumber,
     SweepTable,
+    YieldResult,
     chi,
     classify,
     dd_chi,
@@ -30,7 +30,6 @@ from spinsense import (
     sweep,
     t2,
     yield_rate,
-    yield_rate_asymptotic,
 )
 from spinsense import config, protocol
 from spinsense.cli import main as cli_main
@@ -160,7 +159,8 @@ class TestRootDerivatives:
 
 
 class TestNewtonEvaluations:
-    """Newton from the limits' root needs few evaluations of the law per batched GHZ solve."""
+    """Newton from the limits' roots needs the evaluations of the law per batched
+    GHZ solve that README "Numerical notes" states."""
 
     def test_at_most_six_per_batched_ghz_solve(self, tmp_path, monkeypatch):
         counts = []
@@ -188,7 +188,8 @@ class TestNewtonEvaluations:
         dd_suite()
         # 5 sweeps and dd_suite's 4 pulsed-control sweeps; the bracketed Illinois solver took 10
         assert len(counts) == 9
-        assert max(counts) <= 6
+        assert counts[:5] == [4, 4, 4, 1, 1]
+        assert all(count in (2, 3) for count in counts[5:])
 
 
 class TestGhzStationarity:
@@ -222,7 +223,7 @@ class TestYieldRate:
         result = yield_rate(s, noise)
         assert result.rate == pytest.approx(SQRT_2_OVER_E * s.s / noise.b, rel=0.02)
         assert result.tau_opt == pytest.approx(1.0 / (math.sqrt(2.0) * s.two_s * noise.b), rel=0.02)
-        assert classify(s.two_s * noise.b * noise.tau_c) is RegimeKind.QUASI_STATIC
+        assert classify(s.two_s * noise.b * noise.tau_c) == "quasi_static"
 
     def test_markovian_asymptote(self):
         # memory parameter 0.01
@@ -264,27 +265,41 @@ class TestYieldRate:
             assert changes == 1  # rises once, falls once
 
 
+def yield_rate_asymptotic(s: SpinQuantumNumber, noise: OUNoise, regime: str) -> YieldResult:
+    """Reference: the closed-form yield rate deep in the limiting ``regime`` (a
+    ``classify`` label), which picks the form and is not checked against the noise.
+
+    Quasi-static: R = sqrt(2/e) S/b at tau_opt = 1/(sqrt(2) 2S b).
+    Markovian:    R = 1/(2e b^2 tau_c) at tau_opt = 1/(2 (2Sb)^2 tau_c).
+    Both optima equal T2/2 in their regime; "intermediate" raises ValueError.
+    """
+    if regime == "quasi_static":
+        return YieldResult(SQRT_2_OVER_E * s.s / noise.b,
+                           1.0 / (math.sqrt(2.0) * s.two_s * noise.b))
+    if regime == "markovian":
+        return YieldResult(1.0 / (2.0 * math.e * noise.b**2 * noise.tau_c),
+                           1.0 / (2.0 * (s.two_s * noise.b) ** 2 * noise.tau_c))
+    raise ValueError(f"no closed form in regime {regime!r}")
+
+
 class TestYieldRateAsymptotic:
     def test_quasi_static_value(self):
-        result = yield_rate_asymptotic(SpinQuantumNumber(2), OUNoise(1.0, 100.0),
-                                       RegimeKind.QUASI_STATIC)
+        result = yield_rate_asymptotic(SpinQuantumNumber(2), OUNoise(1.0, 100.0), "quasi_static")
         assert result.rate == pytest.approx(0.857763884960707, rel=1e-12)
         assert result.tau_opt == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-12)
 
     def test_markovian_value(self):
-        result = yield_rate_asymptotic(SpinQuantumNumber(1), OUNoise(1.0, 1e-3),
-                                       RegimeKind.MARKOVIAN)
+        result = yield_rate_asymptotic(SpinQuantumNumber(1), OUNoise(1.0, 1e-3), "markovian")
         assert result.rate == pytest.approx(183.93972058572117, rel=1e-12)
 
     def test_rejects_intermediate(self):
         with pytest.raises(ValueError):
-            yield_rate_asymptotic(SpinQuantumNumber(1), OUNoise(1.0, 1.0),
-                                  RegimeKind.INTERMEDIATE)
+            yield_rate_asymptotic(SpinQuantumNumber(1), OUNoise(1.0, 1.0), "intermediate")
 
     @pytest.mark.parametrize(
         "two_s,tau_c,kind",
-        [(1, 150.0, RegimeKind.QUASI_STATIC), (1, 0.005, RegimeKind.MARKOVIAN),
-         (8, 30.0, RegimeKind.QUASI_STATIC), (2, 0.004, RegimeKind.MARKOVIAN)],
+        [(1, 150.0, "quasi_static"), (1, 0.005, "markovian"),
+         (8, 30.0, "quasi_static"), (2, 0.004, "markovian")],
     )
     def test_consistent_with_numeric_deep_in_regime(self, two_s, tau_c, kind):
         s, noise = SpinQuantumNumber(two_s), OUNoise(1.0, tau_c)
@@ -460,7 +475,7 @@ class TestSweepAgainstDenseGrid:
             warnings.simplefilter("error", RuntimeWarning)
             table = dd_scaling(DDProfile(3.0), np.logspace(0, 2, 8), OUNoise(1e200, 1e200))
         assert np.all(np.isinf(table.markov_params))
-        assert set(table.regimes) == {RegimeKind.QUASI_STATIC}
+        assert set(table.regimes) == {"quasi_static"}
 
 
 def _ghz_optimum_highprec(two_s, b, tau_c):
@@ -532,7 +547,7 @@ class TestFitLogLog:
             rates=np.asarray(rates, float),
             tau_opts=np.ones(n),
             markov_params=np.ones(n),
-            regimes=tuple([RegimeKind.INTERMEDIATE] * n),
+            regimes=tuple(["intermediate"] * n),
         )
 
     def test_exact_power_law(self):

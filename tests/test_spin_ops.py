@@ -221,21 +221,24 @@ class TestFidelity:
 class TestDensityMatrixInvariants:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            _check_density(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))
+            rho = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)
+            _check_density(rho, np.linalg.eigvalsh(rho))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
-            _check_density(np.eye(2, dtype=complex))
+            rho = np.eye(2, dtype=complex)
+            _check_density(rho, np.linalg.eigvalsh(rho))
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
-            _check_density(np.diag([1.5, -0.5]).astype(complex))
+            rho = np.diag([1.5, -0.5]).astype(complex)
+            _check_density(rho, np.linalg.eigvalsh(rho))
 
     @given(psi=states, omega=st.floats(-5, 5), tau=st.floats(0, 5), chi=st.floats(0, 3))
     @settings(max_examples=50)
     def test_dephase_output_always_valid(self, psi, omega, tau, chi):
         rho = dephase(psi, omega, tau, chi)
-        _check_density(rho)
+        _check_density(rho, np.linalg.eigvalsh(rho))
         assert rho.shape == (len(psi), len(psi))
         np.testing.assert_allclose(np.diag(rho).real, np.abs(psi) ** 2, atol=1e-12)
 
@@ -261,8 +264,8 @@ class TestStackedChecks:
 
     def test_valid_stack_passes(self):
         rho = self.stack()
-        _check_density(rho)
         _check_density(rho, np.linalg.eigvalsh(rho))
+        _check_density(rho, np.linalg.eigh(rho)[0])
 
     @pytest.mark.parametrize("corrupt", [
         lambda m: m + np.triu(np.full_like(m, 1e-6), 1),  # non-Hermitian
@@ -275,9 +278,9 @@ class TestStackedChecks:
         rho = self.stack()
         rho[2] = corrupt(rho[2])
         with pytest.raises(ValueError):
-            _check_density(rho[2])
+            _check_density(rho[2], np.linalg.eigvalsh(rho[2]))
         with pytest.raises(ValueError):
-            _check_density(rho)
+            _check_density(rho, np.linalg.eigvalsh(rho))
         with pytest.raises(ValueError):
             _check_density(rho, np.linalg.eigh(rho)[0])
 
