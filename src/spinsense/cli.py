@@ -21,11 +21,12 @@ rows written, de-duplicated and failed; for a state optimization, per point
 the rate rows solved, the nested-grid passes, each start's angles and the
 rate it ended on, whether the GHZ point won, and the rate rows whose tau
 scan bracketed no root; for the mc suite, the ``paths``, the trapezoid
-``steps`` per grid row, the ``normals`` drawn and the ``draw_threads``; for
-the oracle suite, the tuples drawn, the draws rejected and the SLD matrices
-and stacks per dimension (``sld_matrices``, ``sld_stacks``); for the
-estimator suite, the ``repetitions``, the generator blocks ``rng_blocks``
-and the ``flagged`` repetitions).  The default output directory is
+``steps`` and the effective ``dt`` (tau/steps) per grid row, the ``normals``
+drawn and the ``draw_threads``; for the oracle suite, the tuples drawn, the
+draws rejected and the SLD matrices and stacks per dimension
+(``sld_matrices``, ``sld_stacks``); for the estimator suite, the
+``repetitions``, the generator blocks ``rng_blocks`` and the ``flagged``
+repetitions).  The default output directory is
 ``$SPINSENSE_OUTDIR`` (falling back to the working directory).
 
 Units: the gyromagnetic ratio is fixed to 1, so the estimated parameter is
@@ -156,9 +157,13 @@ def cmd_qfi_curve(args: argparse.Namespace) -> int:
     started = time.time()
     taus = _log_grid(args.tau_min, args.tau_max, args.points, "--tau-min", "--tau-max")
     spins = [SpinQuantumNumber.from_s(v) for v in args.s]
+    # a column per spin, named by s in 16 significant digits as errors print 2S
+    header = ["tau"] + [f"qfi_{sq.s:.16g}" for sq in spins]
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise ValueError(f"--s gives the column {name} twice; give each spin once")
     noise = OUNoise(args.b, args.tau_c)
     columns = [ghz_qfi_values(sq, noise, taus) for sq in spins]
-    header = ["tau"] + [f"qfi_{sq.s:g}" for sq in spins]
     out = _resolve_out(args.out, "qfi_curve.csv")
     _write_csv(out, header, [taus, *columns])
     params = {

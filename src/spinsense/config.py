@@ -25,7 +25,9 @@ SLD_EIGENVALUE_CUTOFF = 1e-12
 # checks it) and the estimator's binomial counts (simulate_and_estimate) share
 # the block size.
 # mc_coherence draws its blocks on one thread per usable CPU (at most one per
-# block) and gives the same result for any number of CPUs.
+# block), keeps of each block only its sum and sums of squares, which it
+# merges in block order, and gives the same result for any number of CPUs; it
+# holds no array with one entry per path.
 MC_BLOCK_SIZE = 4096
 MC_MIN_PATHS = 100
 # Time step must resolve the noise memory: dt <= tau_c / MC_DT_RESOLUTION.

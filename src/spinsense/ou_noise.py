@@ -38,7 +38,7 @@ _LOG_CHI_SERIES_BELOW = 0.03
 _ROOT_TOL = 1e-12  # a row of a root solve stops once its step in log t is at most this
 _ROOT_MAX_STEPS = 100  # a row not stopped after this many steps has no root (NaN)
 _LN2 = math.log(2.0)  # a step toward an open bracket end halves or doubles t
-_MC_CHUNK_ROWS = 64  # paths drawn and reduced per chunk, in each drawing thread's own buffer
+_MC_CHUNK_NORMALS = 16384  # normals drawn per chunk (128 KiB), into each drawing thread's own buffer
 
 
 @dataclass(frozen=True)
@@ -402,17 +402,19 @@ def mc_coherence(
     (seed, j), and only the requested paths' rows are drawn.
 
     The blocks are spread over one thread per usable CPU (at most one per
-    block): thread k draws blocks k, k + threads, ... in chunks of
-    _MC_CHUNK_ROWS rows into its own buffer, reduces them into its own block
-    of phases and writes exp(-i 2S phase) of the block, exponentiated in
-    place, into its slice of the call's one complex array.  Drawing, the dot
-    products and the exp release the GIL, so the threads run on separate
-    cores.  Every draw, row and reduction is the same as in one thread, so
-    the result does not depend on the number of CPUs.  At its peak a call
-    holds 24 bytes per path, that array and the float temporary of one
-    std, plus each thread's buffers.  paths must be an integer >=
-    ``config.MC_MIN_PATHS`` and seed an integer >= 0 (a bool or a float is
-    refused).
+    block): thread k draws blocks k, k + threads, ... in chunks of whole
+    rows, at most _MC_CHUNK_NORMALS normals each, into its own buffer.  It
+    reduces them into its own block of phases, exponentiates the block into
+    its own block of factors exp(-i 2S phase), and records the block's sum
+    and the sums of squares of the real and imaginary parts about the block
+    mean.  Drawing, the dot products and the exp release the GIL, so the
+    threads run on separate cores.  After the join the blocks are merged in
+    block order (Chan, Golub and LeVeque).  Every draw, row, reduction and
+    merge is the same as in one thread, so the result does not depend on
+    the number of CPUs.  A call holds each thread's buffers and 32 bytes of
+    moments per block, but no array with an entry per path.  paths must be
+    an integer >= ``config.MC_MIN_PATHS`` and seed an integer >= 0 (a bool
+    or a float is refused).
     """
     _check_count("paths", paths, config.MC_MIN_PATHS)
     _check_count("seed", seed, 0)
@@ -430,33 +432,52 @@ def mc_coherence(
     steps = _mc_steps(tau, dt)
     c = _phase_weights(noise, tau / steps, steps)
     block = config.MC_BLOCK_SIZE
+    blocks = -(-paths // block)
     scale = -float(s.two_s)
-    z = np.empty(paths, dtype=complex)
+    # per block, written by one thread only: the sum of its factors, and the sums
+    # of squares of their real and imaginary parts about the block mean
+    sums = np.empty(blocks, dtype=complex)
+    squares = np.empty((blocks, 2))
 
     def draw(first: int, stride: int) -> None:
-        # blocks first, first + stride, ... into this thread's own buffers; each
-        # block's rows of z are written by one thread only
-        buf = np.empty((min(_MC_CHUNK_ROWS, paths), steps + 1))
+        # blocks first, first + stride, ... into this thread's own buffers
+        rows = max(1, min(_MC_CHUNK_NORMALS // (steps + 1), block, paths))
+        buf = np.empty((rows, steps + 1))
         phase = np.empty(min(block, paths))
-        for j in range(first, -(-paths // block), stride):
+        factors = np.empty(len(phase), dtype=complex)
+        for j in range(first, blocks, stride):
             rng = np.random.default_rng([seed, j])
-            z_block = z[j * block : min((j + 1) * block, paths)]
+            n = min(block, paths - j * block)
             # consecutive row chunks of one stream are the rows of the whole block
-            for lo in range(0, len(z_block), _MC_CHUNK_ROWS):
-                xi = buf[: min(_MC_CHUNK_ROWS, len(z_block) - lo)]
+            for lo in range(0, n, rows):
+                xi = buf[: min(rows, n - lo)]
                 rng.standard_normal(out=xi)
                 np.matmul(xi, c, out=phase[lo : lo + len(xi)])
             # exp(-i 2S phase), the imaginary part -2S phase + 0.0 as in the complex product
-            z_block.real = 0.0
-            np.multiply(phase[: len(z_block)], scale, out=z_block.imag)
-            z_block.imag += 0.0
-            np.exp(z_block, out=z_block)
+            z = factors[:n]
+            z.real = 0.0
+            np.multiply(phase[:n], scale, out=z.imag)
+            z.imag += 0.0
+            np.exp(z, out=z)
+            sums[j] = total = z.sum()
+            dev = phase[:n]  # the phases are spent: their buffer takes the deviations
+            for k, (part, mean) in enumerate(((z.real, total.real / n), (z.imag, total.imag / n))):
+                np.subtract(part, mean, out=dev)
+                np.square(dev, out=dev)
+                squares[j, k] = dev.sum()
 
     _on_threads(draw, _mc_draw_threads(paths))
+    # the blocks merged in block order: per part, sum_j M2_j + sum_j n_j (mean_j - mean)^2
+    counts = np.minimum(block, paths - block * np.arange(blocks)).astype(float)
+    mean = sums.sum() / paths
+    offsets = sums / counts - mean
+    spread_real = squares[:, 0].sum() + (counts * offsets.real**2).sum()
+    spread_imag = squares[:, 1].sum() + (counts * offsets.imag**2).sum()
+    norm = math.sqrt((paths - 1) * paths)  # std(ddof=1) / sqrt(paths) = sqrt(M2) / norm
     return McCoherence(
-        mean=complex(z.mean()),
-        stderr_real=float(z.real.std(ddof=1) / math.sqrt(paths)),
-        stderr_imag=float(z.imag.std(ddof=1) / math.sqrt(paths)),
+        mean=complex(mean),
+        stderr_real=math.sqrt(spread_real) / norm,
+        stderr_imag=math.sqrt(spread_imag) / norm,
         n_paths=paths,
     )
 

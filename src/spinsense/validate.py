@@ -75,19 +75,21 @@ def _mc_row(i: int, seed: int, paths: int) -> tuple[McCoherence, float, str, int
 
 def mc_suite(seed: int) -> tuple[list[CheckResult], dict]:
     """Sampled coherence vs exp(-(2S)^2 chi) over the three-regime grid, MC_PATHS
-    paths per row; the diagnostics record the paths, the trapezoid steps per
-    grid row, the normals drawn and the threads that draw them."""
+    paths per row; the diagnostics record the paths, the trapezoid steps and
+    the effective dt = tau/steps per grid row, the normals drawn and the
+    threads that draw them."""
     checks: list[CheckResult] = []
-    steps = []
+    steps, dts = [], []
     for i, (s_val, b, tau_c, tau) in enumerate(MC_GRID):
         est, target, regime, row_steps = _mc_row(i, seed, MC_PATHS)
         steps.append(row_steps)
+        dts.append(tau / row_steps)
         tag = f"mc[{i}] {regime} S={s_val:g} b={b:g} tau_c={tau_c:g} tau={tau:g}"
         checks.append(_check(f"{tag} re", est.mean.real, target, 3.0 * est.stderr_real))
         checks.append(_check(f"{tag} im", est.mean.imag, 0.0, 3.0 * est.stderr_imag))
         if target > 0.1:
             checks.append(_check(f"{tag} re rel", est.mean.real / target, 1.0, 0.01))
-    return checks, {"paths": MC_PATHS, "steps": steps,
+    return checks, {"paths": MC_PATHS, "steps": steps, "dt": dts,
                     "normals": MC_PATHS * sum(k + 1 for k in steps),
                     "draw_threads": _mc_draw_threads(MC_PATHS)}
 

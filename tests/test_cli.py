@@ -74,6 +74,29 @@ class TestQfiCurve:
         assert [r[1] for r in rows] == ["0", "0", "0"]
         assert [[r[0], r[2]] for r in rows] == read_csv(alone)[1]
 
+    def test_column_names_keep_sixteen_digits(self, tmp_path):
+        # six significant digits named both of these qfi_1.23457e+06
+        out = str(tmp_path / "close.csv")
+        assert run(["qfi-curve", "--s", "1234567", "--s", "1234567.5", "--b", "1e-9",
+                    "--tau-c", "1", "--points", "2", "--out", out]) == 0
+        assert read_csv(out)[0] == ["tau", "qfi_1234567", "qfi_1234567.5"]
+
+    @pytest.mark.parametrize("spins, name", [
+        (["1", "1"], "qfi_1"),
+        (["0.5", "1", "1.0"], "qfi_1"),
+        # two spins 16 apart whose s prints the same in 16 significant digits
+        (["1e17", "100000000000000016"], "qfi_1e+17"),
+    ])
+    def test_spins_with_one_column_name_exit_2(self, tmp_path, capsys, spins, name):
+        out = tmp_path / "same.csv"
+        argv = ["qfi-curve", "--b", "1", "--tau-c", "1", "--points", "2", "--out", str(out)]
+        for s in spins:
+            argv += ["--s", s]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"spinsense: --s gives the column {name} twice; give each spin once"]
+        assert not os.listdir(tmp_path)
+
     def test_single_point(self, tmp_path):
         out = str(tmp_path / "one.csv")
         assert run(["qfi-curve", "--s", "1", "--b", "1", "--tau-c", "1",
@@ -480,9 +503,12 @@ class TestValidateCommand:
         run(["validate", "--suite", "mc", "--seed", "7", "--out", out])
         capsys.readouterr()
         diag = json.load(open(tmp_path / "mc.manifest.json"))["diagnostics"]
-        # 25 blocks of config.MC_BLOCK_SIZE paths per grid row, drawn on 3 threads
+        # 25 blocks of config.MC_BLOCK_SIZE paths per grid row, drawn on 3 threads;
+        # dt = tau/steps per grid row
         assert diag == {"paths": 100_000,
                         "steps": [400, 1000, 400, 600, 50, 50, 80, 80, 50, 50, 50, 50],
+                        "dt": [0.0005, 0.0005, 0.001, 0.0005, 0.02, 0.01,
+                               0.0025, 0.0025, 0.02, 0.01, 0.01, 0.001],
                         "normals": 287_200_000, "draw_threads": 3}
         assert set(json.load(open(out))) == {"suite", "seed", "passed", "checks"}
 

@@ -487,14 +487,16 @@ class TestMcCoherence:
         assert np.max(np.abs(folded - reference)) <= 1e-12 * spread
 
     def test_working_set(self, monkeypatch):
-        # the bound: the complex factors (16 bytes per path) plus the one float
-        # temporary of std (8), each drawing thread's 64-row buffer of normals and
-        # its block of phases, and 64 KiB for the rest
+        # the bound: each drawing thread's chunk of at most _MC_CHUNK_NORMALS normals
+        # in whole rows, its block of phases (8 bytes per path of a block), which
+        # later holds the deviations from the block mean, and its block of complex
+        # factors (16), plus 64 KiB for the rest; no term grows with paths
         monkeypatch.setattr(ou_noise, "_usable_cpus", lambda: 2)
         paths, steps, tau = 100_000, 1000, 1.0
         assert _mc_steps(tau, tau / steps) == steps
-        per_thread = 8 * (64 * (steps + 1) + config.MC_BLOCK_SIZE)
-        bound = 24 * paths + 2 * per_thread + 64 * 1024
+        rows = ou_noise._MC_CHUNK_NORMALS // (steps + 1)
+        per_thread = 8 * rows * (steps + 1) + 24 * config.MC_BLOCK_SIZE
+        bound = 2 * per_thread + 64 * 1024
         noise = OUNoise(1.0, 0.1)
         # a first call imports what numpy's generators load lazily, outside the trace
         mc_coherence(SpinQuantumNumber(2), noise, 0.01, 150, 1e-3, seed=3)
@@ -505,6 +507,23 @@ class TestMcCoherence:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+    def test_peak_does_not_grow_with_paths(self, monkeypatch):
+        # 20 times the paths adds 93 blocks of 32 bytes of moments and nothing else;
+        # one thread, so that no peak depends on how the threads overlap
+        monkeypatch.setattr(ou_noise, "_usable_cpus", lambda: 1)
+        noise = OUNoise(1.0, 1.0)
+        mc_coherence(SpinQuantumNumber(2), noise, 0.01, 150, 1e-3, seed=3)
+        peaks = []
+        for paths in (20_000, 400_000):
+            tracemalloc.start()
+            try:
+                mc_coherence(SpinQuantumNumber(2), noise, 1.0, paths, 0.02, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert _mc_steps(1.0, 0.02) == 50
+        assert peaks[1] <= peaks[0] + 4 * 1024
 
 
 class TestMcDrawThreads:
